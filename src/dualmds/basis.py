@@ -153,8 +153,12 @@ def basis_gram(n: int, max_pairs: int = DENSE_PAIR_CAP) -> BasisGram:
 def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.ndarray:
     """Adjacency matrix of the triangular graph: pairs adjacent iff they meet.
 
-    Built independently of :func:`basis_gram` from the shared-vertex rule;
-    ``basis_gram(n) - 4I`` must equal this matrix exactly.
+    Built independently of :func:`basis_gram`: with M the L x n pair-vertex
+    incidence matrix (a 1 at both vertices of each pair), M M^T counts the
+    vertices two pairs share -- 2 on the diagonal, 1 for adjacent pairs,
+    0 for disjoint ones -- instead of comparing endpoints as
+    :func:`basis_gram` does.  ``basis_gram(n) - 4I`` must equal this
+    matrix exactly.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
@@ -164,14 +168,11 @@ def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.nd
             f"n={n} gives {L} pairs, beyond the dense cap of {max_pairs}"
         )
     rows, cols = pair_arrays(n)
-    A = np.zeros((L, L), dtype=np.int64)
-    for p in range(L):
-        for q in range(p + 1, L):
-            shared = len({rows[p], cols[p]} & {rows[q], cols[q]})
-            if shared == 1:
-                A[p, q] = 1
-                A[q, p] = 1
-    return A
+    M = np.zeros((L, n))
+    M[np.arange(L), rows] = 1.0
+    M[np.arange(L), cols] = 1.0
+    # float64 so the product runs in BLAS; counts of 0, 1, 2 are exact
+    return (M @ M.T == 1.0).astype(np.int64)
 
 
 def h_matvec(n: int, x: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ checks), ``basis`` (print the small objects for inspection).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 domain error
 (invalid parameters, non-Euclidean input, resource caps), 3 parse or
-I/O error.  Reports print to stdout as text by default or as JSON with
-``--format json``; JSON output is byte-identical across reruns with the
-same seed.
+I/O error, 4 internal error (any other exception, reported on one
+stderr line and never as a failed check).  Reports print to stdout as
+text by default or as JSON with ``--format json``; JSON output is
+byte-identical across reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -306,3 +307,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4

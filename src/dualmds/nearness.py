@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import basis_gram
 from .errors import DomainError, ResourceLimitError
-from .pairspace import PairIndex, num_pairs, pair_to_linear
+from .pairspace import PairIndex, linear_index, num_pairs
 
 DENSE_ENTRY_CAP = 200_000_000
 
@@ -76,6 +76,11 @@ class ConstraintMatrix:
     (i,j), (i,k), (j,k).  Storage is one column index per signed entry
     (0-based internally): ``pos_col`` carries the +1 of each row,
     ``neg_cols`` the two -1s.
+
+    The columns are the closed form of
+    :func:`~dualmds.pairspace.pair_to_linear` evaluated on the whole
+    triple arrays at once; construction builds no per-edge
+    :class:`PairIndex` objects.
     """
 
     __slots__ = ("n", "triples", "pos_col", "neg_cols")
@@ -85,13 +90,11 @@ class ConstraintMatrix:
             raise DomainError(f"triangle constraints need n >= 3, got n={n}")
         self.n = n
         self.triples = np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64)
-        lin = np.empty((self.triples.shape[0], 3), dtype=np.int64)
-        for t, (i, j, k) in enumerate(self.triples):
-            lin[t] = [
-                pair_to_linear(PairIndex(int(i), int(j), n)) - 1,
-                pair_to_linear(PairIndex(int(i), int(k), n)) - 1,
-                pair_to_linear(PairIndex(int(j), int(k), n)) - 1,
-            ]
+        i, j, k = self.triples.T
+        lin = np.stack(
+            [linear_index(i, j, n), linear_index(i, k, n), linear_index(j, k, n)],
+            axis=1,
+        ) - 1
         # slot s makes edge s positive and the other two negative
         self.pos_col = lin.reshape(-1)
         self.neg_cols = np.stack(

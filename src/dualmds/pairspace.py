@@ -54,7 +54,15 @@ class PairIndex:
 
 def pair_to_linear(p: PairIndex) -> int:
     """Linear index (1-based) of a pair under lexicographic enumeration."""
-    i, j, n = p.i, p.j, p.n
+    return linear_index(p.i, p.j, p.n)
+
+
+def linear_index(i, j, n: int):
+    """Closed form behind :func:`pair_to_linear` for 1-based vertices i < j.
+
+    Pure integer arithmetic, so ``i`` and ``j`` may equally be Python ints
+    or integer arrays of matching shape; no range check is made here.
+    """
     return (i - 1) * n - i * (i - 1) // 2 + (j - i)
 
 

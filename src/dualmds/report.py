@@ -87,10 +87,11 @@ class RunReport:
             "command": self.command,
             "parameters": jsonable(self.parameters),
             "checks": [
-                {"name": c.name, "pass": c.passed, "payload": jsonable(c.payload)}
+                {"name": c.name, "pass": jsonable(c.passed),
+                 "payload": jsonable(c.payload)}
                 for c in self.checks
             ],
-            "pass": self.overall,
+            "pass": jsonable(self.overall),
         }
 
     def to_json(self) -> str:

@@ -122,3 +122,34 @@ def constraint_dense(n: int) -> np.ndarray:
                 row[col[edge]] = 1.0 if edge == positive else -1.0
             rows.append(row)
     return np.array(rows)
+
+
+def biorthogonality_deviation(n: int) -> float:
+    """max |<v_alpha, w_beta> - delta| by the literal double loop over pairs.
+
+    <v_alpha, w_beta> is read off the dense dual matrix at beta = (i, j) as
+    V[i,i] + V[j,j] - 2 V[i,j], the trace inner product with the atom.
+    """
+    prs = lex_pairs(n)
+    worst = 0.0
+    for a, (i1, j1) in enumerate(prs):
+        V = dual_matrix(i1, j1, n)
+        for b, (i2, j2) in enumerate(prs):
+            inner = (
+                V[i2 - 1, i2 - 1]
+                + V[j2 - 1, j2 - 1]
+                - 2.0 * V[i2 - 1, j2 - 1]
+            )
+            worst = max(worst, abs(inner - (1.0 if a == b else 0.0)))
+    return float(worst)
+
+
+def triangular_adjacency_by_sets(n: int) -> np.ndarray:
+    """Pairs adjacent iff their vertex sets intersect in exactly one vertex."""
+    prs = lex_pairs(n)
+    A = np.zeros((len(prs), len(prs)), dtype=np.int64)
+    for p, e in enumerate(prs):
+        for q, f in enumerate(prs):
+            if len(set(e) & set(f)) == 1:
+                A[p, q] = 1
+    return A

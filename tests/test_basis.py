@@ -224,6 +224,12 @@ class TestTriangularGraph:
             triangular_graph_adjacency(3), np.ones((3, 3)) - np.eye(3)
         )
 
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_matches_set_intersection_oracle(self, n):
+        A = triangular_graph_adjacency(n)
+        assert A.dtype == np.int64
+        np.testing.assert_array_equal(A, oracles.triangular_adjacency_by_sets(n))
+
 
 class TestHSpectrum:
     def test_four_points(self):

@@ -164,6 +164,42 @@ class TestVerify:
         assert main(["verify", "--n", "2"]) == 2
         capsys.readouterr()
 
+    def test_json_at_n20_parses_and_repeats(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", "--n", "20", "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        doc = json.loads(outputs[0])
+        assert doc["pass"] is True
+        assert all(c["pass"] is True for c in doc["checks"])
+        assert outputs[0] == outputs[1]
+
+    def test_numpy_bool_pass_serializes(self, monkeypatch, capsys):
+        from dualmds import cli as cli_module
+
+        monkeypatch.setattr(
+            cli_module, "run_verification",
+            lambda n, seed=0, backend=None: [
+                CheckResult("numpy_flag", np.bool_(True), {"ok": np.bool_(True)})
+            ],
+        )
+        assert main(["verify", "--n", "4", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is True
+        assert doc["checks"][0]["pass"] is True
+
+    def test_internal_error_exit_4(self, monkeypatch, capsys):
+        from dualmds import cli as cli_module
+
+        def broken(n, seed=0, backend=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_module, "run_verification", broken)
+        assert main(["verify", "--n", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: RuntimeError: boom\n"
+
 
 class TestNoise:
     def test_report_and_exit_code(self, capsys):

@@ -125,7 +125,7 @@ class TestTripleConstraint:
 
 
 class TestDenseAndSparseAgree:
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 12])
     def test_matches_definition(self, n):
         np.testing.assert_array_equal(
             constraint_matrix(n).to_dense(), oracles.constraint_dense(n)

@@ -17,6 +17,7 @@ from dualmds import (
     pair_to_linear,
 )
 from dualmds.errors import DomainError
+from dualmds.pairspace import linear_index
 
 import oracles
 
@@ -58,6 +59,13 @@ class TestLinearIndexing:
                       (linear_to_pair(k, n) for k in range(1, num_pairs(n) + 1))]
             assert listed == oracles.lex_pairs(n)
             assert listed == sorted(listed)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_linear_index_on_arrays(self, n):
+        prs = np.array(oracles.lex_pairs(n), dtype=np.int64)
+        np.testing.assert_array_equal(
+            linear_index(prs[:, 0], prs[:, 1], n), np.arange(1, num_pairs(n) + 1)
+        )
 
     @pytest.mark.parametrize("k,n", [(0, 4), (7, 4), (-3, 5)])
     def test_linear_out_of_range(self, k, n):

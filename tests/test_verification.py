@@ -2,9 +2,13 @@
 
 import pytest
 
+from dualmds import num_pairs, verification
+from dualmds.basis import DualAtom, dual_atom
 from dualmds.errors import DomainError
 from dualmds.report import CheckResult
 from dualmds.verification import run_verification
+
+import oracles
 
 EXPECTED_CHECKS = {
     "atom_gram_spectrum",
@@ -44,3 +48,47 @@ def test_deterministic_given_seed():
 def test_rejects_too_few_points():
     with pytest.raises(DomainError):
         run_verification(2)
+
+
+def _scaled_dual_atom(factor, only=None):
+    """A dual_atom replacement returning v_alpha scaled by ``factor``."""
+    def scaled(alpha):
+        v = dual_atom(alpha)
+        if only is not None and (alpha.i, alpha.j) != only:
+            return v
+        return DualAtom(alpha, v.a * factor, v.b)
+    return scaled
+
+
+class TestBiorthogonality:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_double_loop_oracle(self, n):
+        result = verification._check_biorthogonality(n)
+        assert result.payload["max_deviation"] == oracles.biorthogonality_deviation(n)
+        assert result.payload["pairs"] == num_pairs(n)
+        assert result.passed is True
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_ragged_blocks_match_oracle(self, n, monkeypatch):
+        # four alphas per block; L = 21 and 66 leave a partial last block
+        L = num_pairs(n)
+        assert L % 4 != 0
+        monkeypatch.setattr(verification, "BIORTHOGONALITY_BLOCK_ENTRIES", 4 * L)
+        result = verification._check_biorthogonality(n)
+        assert result.payload["max_deviation"] == oracles.biorthogonality_deviation(n)
+
+    def test_scaled_dual_atoms_fail(self, monkeypatch):
+        monkeypatch.setattr(verification, "dual_atom", _scaled_dual_atom(1 + 1e-9))
+        result = verification._check_biorthogonality(6)
+        assert result.passed is False
+        assert result.payload["max_deviation"] == pytest.approx(1e-9, rel=1e-3)
+
+    def test_scaled_last_atom_in_partial_block_fails(self, monkeypatch):
+        n = 7
+        monkeypatch.setattr(verification, "BIORTHOGONALITY_BLOCK_ENTRIES",
+                            4 * num_pairs(n))
+        monkeypatch.setattr(verification, "dual_atom",
+                            _scaled_dual_atom(1 + 1e-9, only=(n - 1, n)))
+        result = verification._check_biorthogonality(n)
+        assert result.passed is False
+        assert result.payload["max_deviation"] == pytest.approx(1e-9, rel=1e-3)
