@@ -25,7 +25,7 @@ from . import _reference
 from .basis import basis_atom, basis_gram, dual_atom, dual_gram_matrix
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import format_float, read_matrix_csv, write_matrix_csv, write_triplets
-from .mds import embed, is_euclidean, squared_distances
+from .mds import embed, squared_distances
 from .nearness import constraint_gram, constraint_matrix, gram_identity_check, \
     predicted_singular_values
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
@@ -75,15 +75,16 @@ def cmd_embed(args) -> int:
             f"{args.distances}: not a valid squared-distance matrix: {exc}"
         ) from exc
     parameters = {"input": args.distances, "n": D.n, "r": args.r, "tol": args.tol}
-    euclidean, lam_min = is_euclidean(D, tol=args.tol)
-    checks = [CheckResult("euclidean", euclidean, {"lambda_min": lam_min})]
-    if not euclidean:
+    try:
+        result = embed(D, r=args.r, tol=args.tol)
+    except NonEuclideanError as exc:
+        checks = [CheckResult("euclidean", False, {"lambda_min": exc.lambda_min})]
         report = RunReport("embed", parameters, checks)
         report.duration_s = time.perf_counter() - started
         _emit(report, args.format, None)
         return 2
-    result = embed(D, r=args.r, tol=args.tol)
-    checks.append(
+    checks = [
+        CheckResult("euclidean", True, {"lambda_min": result.lambda_min}),
         CheckResult(
             "embedding",
             True,
@@ -92,8 +93,8 @@ def cmd_embed(args) -> int:
                 "retained_eigenvalues": list(result.eigenvalues),
                 "discarded_mass": result.discarded_mass,
             },
-        )
-    )
+        ),
+    ]
     if args.out:
         write_matrix_csv(args.out, result.points.points)
         checks.append(CheckResult("output", True, {"points_file": args.out}))

@@ -44,13 +44,15 @@ class EmbeddingResult:
     ``rank`` equals the number of retained (strictly positive)
     eigenvalues; ``discarded_mass`` sums the absolute values of all
     eigenvalues that were dropped, whether tiny noise or truncated
-    geometry.
+    geometry.  ``lambda_min`` is the smallest Gram eigenvalue, the one
+    the Euclidean test of :func:`is_euclidean` judges.
     """
 
     points: PointConfiguration
     eigenvalues: np.ndarray
     discarded_mass: float
     rank: int
+    lambda_min: float
 
     def __post_init__(self):
         if np.any(self.eigenvalues <= 0):
@@ -120,6 +122,14 @@ def measure_coefficients(X: GramMatrix) -> np.ndarray:
     return diag[rows] + diag[cols] - 2.0 * E[rows, cols]
 
 
+def _euclidean(vals: np.ndarray, tol: float) -> bool:
+    """The Euclidean test on a descending Gram spectrum.
+
+    Fails iff the smallest eigenvalue lies below -tol * max(1, largest).
+    """
+    return not vals[-1] < -tol * max(1.0, float(vals[0]))
+
+
 def is_euclidean(D: SquaredDistanceMatrix, tol: float = DEFAULT_RANK_TOL
                  ) -> tuple[bool, float]:
     """Whether D is realizable by points in some Euclidean space.
@@ -129,9 +139,7 @@ def is_euclidean(D: SquaredDistanceMatrix, tol: float = DEFAULT_RANK_TOL
     with that smallest eigenvalue.
     """
     vals, _ = sym_eig(double_center(D).entries)
-    lam_min = float(vals[-1])
-    lam_max = float(vals[0])
-    return lam_min >= -tol * max(1.0, lam_max), lam_min
+    return _euclidean(vals, tol), float(vals[-1])
 
 
 def embed(D: SquaredDistanceMatrix, r: int | None = None,
@@ -142,22 +150,23 @@ def embed(D: SquaredDistanceMatrix, r: int | None = None,
     detected rank; coordinates are eigenvectors scaled by square roots
     of their eigenvalues.  A requested dimension ``r`` below the
     detected rank truncates; above it, the coordinates are zero-padded
-    with a warning.  Distances that no point set can realize raise
+    with a warning.  Distances that no point set can realize (the test
+    of :func:`is_euclidean`) raise
     :class:`~dualmds.errors.NonEuclideanError` carrying the offending
-    eigenvalue.
+    eigenvalue; that verdict on the input comes before the check that
+    ``r`` lies in [0, n - 1].
     """
     n = D.n
-    if r is not None and not 0 <= r <= n - 1:
-        raise DomainError(f"target dimension r={r} out of range [0, {n - 1}] for n={n}")
-    X = double_center(D)
-    vals, vecs = sym_eig(X.entries)
+    vals, vecs = sym_eig(double_center(D).entries)
     lam_max = float(vals[0])
     lam_min = float(vals[-1])
-    if lam_min < -tol * max(1.0, lam_max):
+    if not _euclidean(vals, tol):
         raise NonEuclideanError(
             f"distances are not Euclidean: smallest Gram eigenvalue {lam_min:.6e}",
             lambda_min=lam_min,
         )
+    if r is not None and not 0 <= r <= n - 1:
+        raise DomainError(f"target dimension r={r} out of range [0, {n - 1}] for n={n}")
     detected = int(np.count_nonzero(vals > tol * max(lam_max, 0.0)))
     keep = detected if r is None else min(r, detected)
     retained = vals[:keep].copy()
@@ -175,6 +184,7 @@ def embed(D: SquaredDistanceMatrix, r: int | None = None,
         eigenvalues=retained,
         discarded_mass=discarded,
         rank=keep,
+        lambda_min=lam_min,
     )
 
 

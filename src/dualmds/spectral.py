@@ -68,11 +68,20 @@ def sym_eig(M: np.ndarray, sym_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
     vals, vecs = np.linalg.eigh(M)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for k in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
+    _normalize_signs(vecs)
     return vals, vecs
+
+
+def _normalize_signs(vecs: np.ndarray) -> None:
+    """Negate, in place, each column whose largest-magnitude entry is negative.
+
+    ``argmax`` returns the first maximum, so among entries of equal
+    magnitude the lowest index decides.
+    """
+    if vecs.size:
+        lead = np.argmax(np.abs(vecs), axis=0)
+        flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
 
 
 def group_spectrum(eigenvalues, rel_tol: float = DEFAULT_GROUP_TOL) -> SpectrumReport:

@@ -153,3 +153,17 @@ def triangular_adjacency_by_sets(n: int) -> np.ndarray:
             if len(set(e) & set(f)) == 1:
                 A[p, q] = 1
     return A
+
+
+def normalize_signs_by_columns(vecs: np.ndarray) -> np.ndarray:
+    """Column by column: negate a column whose largest-magnitude entry is negative.
+
+    Ties between entries of equal magnitude go to the lowest index.
+    Returns a new array.
+    """
+    out = np.array(vecs, dtype=float)
+    for k in range(out.shape[1]):
+        lead = int(np.argmax(np.abs(out[:, k])))
+        if out[lead, k] < 0:
+            out[:, k] = -out[:, k]
+    return out

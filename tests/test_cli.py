@@ -112,6 +112,48 @@ class TestEmbed:
         assert main(["embed", str(dist), "--r", "10"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("euclidean,r,code", [
+        (True, "2", 0),
+        (True, "10", 2),
+        (False, "2", 2),
+        (False, "10", 2),
+    ])
+    def test_report_order_and_exit_codes(self, tmp_path, capsys,
+                                         euclidean, r, code):
+        # The input is judged before --r: a non-Euclidean input reports
+        # its failed check whatever --r is; a bad --r on a Euclidean
+        # input is a domain error with no report.
+        if euclidean:
+            path = square_distances_csv(tmp_path)
+        else:
+            path = tmp_path / "bad.csv"
+            write_matrix_csv(path, np.array(IMPOSSIBLE_D2))
+        assert main(["embed", str(path), "--r", r]) == code
+        captured = capsys.readouterr()
+        if euclidean and code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("error: target dimension r=10")
+        else:
+            assert captured.err == ""
+            assert captured.out.startswith("dualmds embed\n")
+            assert ("[PASS] euclidean" if euclidean else "[FAIL] euclidean: "
+                    "lambda_min=-0.8333333333333335") in captured.out
+            assert ("detected_rank=2" in captured.out) == euclidean
+            checks = [line for line in captured.out.splitlines()
+                      if line.startswith("  [")]
+            assert len(checks) == (2 if euclidean else 1)
+
+    def test_padding_warning_keeps_the_report(self, tmp_path, capsys):
+        dist = square_distances_csv(tmp_path)
+        with pytest.warns(UserWarning, match="requested dimension 3 exceeds "
+                                             "detected rank 2"):
+            code = main(["embed", str(dist), "--r", "3", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == ["euclidean", "embedding"]
+        assert doc["checks"][1]["payload"]["detected_rank"] == 2
+        assert doc["parameters"]["r"] == 3
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["embed", str(tmp_path / "absent.csv")]) == 3
         assert "error:" in capsys.readouterr().err
@@ -121,6 +163,13 @@ class TestEmbed:
         path.write_text("not,numbers\n")
         assert main(["embed", str(path)]) == 3
         capsys.readouterr()
+
+    def test_undecodable_csv_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"0,1\n1,\xe90\n")
+        assert main(["embed", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: non-ASCII byte 0xe9\n"
 
     def test_asymmetric_matrix_exit_3(self, tmp_path, capsys):
         path = tmp_path / "asym.csv"

@@ -261,6 +261,30 @@ class TestEmbed:
             embed(SquaredDistanceMatrix(IMPOSSIBLE_D2))
         assert excinfo.value.lambda_min < -0.1
 
+    def test_non_euclidean_judged_before_dimension(self):
+        with pytest.raises(NonEuclideanError):
+            embed(SquaredDistanceMatrix(IMPOSSIBLE_D2), r=5)
+
+    @pytest.mark.parametrize("n,r,seed", [(3, 1, 20), (10, 3, 21), (30, 4, 22)])
+    def test_lambda_min_is_that_of_is_euclidean(self, n, r, seed):
+        D = squared_distances(random_points(n, r, seed))
+        assert embed(D).lambda_min == is_euclidean(D)[1]
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 0.99, 1.01, 2.0, 4.0])
+    def test_verdict_agrees_with_is_euclidean(self, scale):
+        D = SquaredDistanceMatrix(IMPOSSIBLE_D2)
+        _, lam_min = is_euclidean(D)
+        lam_max = float(np.linalg.eigvalsh(double_center(D).entries)[-1])
+        tol = scale * abs(lam_min) / max(1.0, lam_max)
+        ok, _ = is_euclidean(D, tol=tol)
+        assert ok == (scale > 1)
+        if ok:
+            assert embed(D, tol=tol).lambda_min == lam_min
+        else:
+            with pytest.raises(NonEuclideanError) as excinfo:
+                embed(D, tol=tol)
+            assert excinfo.value.lambda_min == lam_min
+
     def test_collinear_embeds_on_a_line(self):
         result = embed(SquaredDistanceMatrix(COLLINEAR_D2))
         assert result.rank == 1
@@ -275,6 +299,7 @@ class TestEmbeddingResultValidation:
                 points=PointConfiguration(np.zeros((3, 1))),
                 eigenvalues=np.array([0.0]),
                 discarded_mass=0.0,
+                lambda_min=0.0,
                 rank=1,
             )
 
@@ -284,6 +309,7 @@ class TestEmbeddingResultValidation:
                 points=PointConfiguration(np.zeros((3, 1))),
                 eigenvalues=np.array([1.0, 2.0]),
                 discarded_mass=0.0,
+                lambda_min=0.0,
                 rank=1,
             )
 
@@ -293,6 +319,7 @@ class TestEmbeddingResultValidation:
                 points=PointConfiguration(np.eye(3)[:, :2]),
                 eigenvalues=np.array([2.0, 1.0, 0.5]),
                 discarded_mass=0.0,
+                lambda_min=0.0,
                 rank=3,
             )
 

@@ -5,6 +5,9 @@ import pytest
 
 from dualmds import basis_gram, group_spectrum, sym_eig
 from dualmds.errors import DomainError
+from dualmds.spectral import _normalize_signs
+
+from oracles import normalize_signs_by_columns
 
 
 class TestSymEig:
@@ -56,6 +59,35 @@ class TestSymEig:
         for k in range(2):
             lead = np.argmax(np.abs(vecs[:, k]))
             assert vecs[lead, k] > 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 40])
+    def test_signs_match_column_loop(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        S = rng.standard_normal((dim, dim))
+        M = S + S.T
+        _, vecs = sym_eig(M)
+        _, raw = np.linalg.eigh(M)
+        expected = normalize_signs_by_columns(raw[:, ::-1])
+        assert np.array_equal(vecs, expected)
+        assert np.array_equal(np.signbit(vecs), np.signbit(expected))
+
+    def test_signs_ties_go_to_lowest_index(self):
+        V = np.array([
+            [0.5, -0.5, 0.0, -0.0, 0.25],
+            [-0.5, 0.5, -0.75, 0.0, 0.5],
+            [0.25, 0.5, 0.75, -0.0, -0.5],
+        ])
+        expected = normalize_signs_by_columns(V)
+        _normalize_signs(V)
+        assert np.array_equal(V, expected)
+        assert np.array_equal(np.signbit(V), np.signbit(expected))
+        # each tied column is led by its first largest-magnitude entry
+        assert V[0, 0] == 0.5 and V[0, 1] == 0.5 and V[1, 2] == 0.75
+        assert V[1, 4] == 0.5
+
+    def test_signs_empty(self):
+        vals, vecs = sym_eig(np.zeros((0, 0)))
+        assert vals.shape == (0,) and vecs.shape == (0, 0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
