@@ -3,10 +3,10 @@
 The package recovers point configurations from squared Euclidean
 distances and mechanically verifies the closed-form structure it leans
 on: the biorthogonal atom families, the integer Gram matrix of the
-measurement atoms and its three-eigenvalue spectrum, the worst-case
-amplification of additive distance noise, and the triangle-inequality
-constraint matrix whose Gram matrix is an exact integer complement of
-the atom Gram.
+measurement atoms and its three-eigenvalue spectrum, the bound on and
+the attained worst case of the amplification of additive distance
+noise, and the triangle-inequality constraint matrix whose Gram matrix
+is an exact integer complement of the atom Gram.
 """
 
 from ._kernels import BACKEND_ENV_VAR, HAS_NUMBA, active_backend
@@ -66,8 +66,10 @@ from .stability import (
     NoiseMatrix,
     StabilityReport,
     amplification_factor,
+    attained_amplification,
     noise_experiment,
     perturbed_gram,
+    worst_case_noise,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +100,7 @@ __all__ = [
     "TripleConstraint",
     "active_backend",
     "amplification_factor",
+    "attained_amplification",
     "basis_atom",
     "basis_gram",
     "centering_matrix",
@@ -130,6 +133,7 @@ __all__ = [
     "sym_eig",
     "triangular_graph_adjacency",
     "violations",
+    "worst_case_noise",
     "write_matrix_csv",
     "write_triplets",
 ]

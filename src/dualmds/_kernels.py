@@ -138,7 +138,7 @@ def expand_kernel(coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def amplification_kernel(J: np.ndarray, backend: str | None = None) -> float:
-    """Worst entrywise amplification of the atom expansion, from J entries."""
+    """The paper's bound on the entrywise amplification, from J entries."""
     absJ = np.ascontiguousarray(np.abs(J), dtype=np.float64)
     if active_backend(backend) == "numba":
         return float(_amplification_numba(absJ))

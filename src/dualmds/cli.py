@@ -127,6 +127,8 @@ def cmd_noise(args) -> int:
                 "max_observed_ratio": result.max_ratio,
                 "amplification_factor": result.factor,
                 "bound": result.bound,
+                "attained_factor": result.attained,
+                "adversarial_ratio": result.adversarial_ratio,
             },
         )
     ]

@@ -1,24 +1,32 @@
 """How additive distance noise propagates through the atom expansion.
 
-Perturbing the squared distances by a symmetric hollow noise matrix
-perturbs the Gram matrix linearly.  The worst-case entrywise blow-up,
-over all noise patterns of unit sup-norm, is an explicit function of the
-centering-matrix entries; it stays strictly below 4 at every size.
-:func:`noise_experiment` drives seeded random trials against that bound.
+Perturbing the squared distances by a symmetric hollow noise matrix E
+perturbs the Gram matrix linearly, by exactly -1/2 J E J whatever the
+distances (Sibson 1979).  Two numbers describe the entrywise blow-up
+over all noise patterns of unit sup-norm, both explicit in the
+centering-matrix entries:
+
+* :func:`amplification_factor`, the paper's quantity, is an upper bound;
+  it stays strictly below 4 at every size;
+* :func:`attained_amplification` is the true worst case, which the sign
+  pattern :func:`worst_case_noise` reaches; it stays below 2.
+
+:func:`noise_experiment` drives seeded random trials and that
+adversarial pattern against both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import amplification_kernel
 from .errors import DomainError
-from .mds import dual_expansion, expand_coefficients, squared_distances
+from .mds import expand_coefficients
 from .pairspace import (
     GramMatrix,
-    PointConfiguration,
     SquaredDistanceMatrix,
     centering_matrix,
     pair_arrays,
@@ -62,9 +70,11 @@ class NoiseMatrix:
 class StabilityReport:
     """Outcome of a batch of noise trials at one problem size.
 
-    ``max_ratio`` is the largest observed ‖Gram perturbation‖_sup over
-    ‖distance noise‖_sup; it can never exceed ``factor`` (the exact
-    worst case for this n), which in turn is strictly below ``bound``.
+    ``max_ratio`` is the largest ‖Gram perturbation‖_sup over
+    ‖distance noise‖_sup among the random trials; it can never exceed
+    ``attained``, the true worst case for this n, which the adversarial
+    trial reaches as ``adversarial_ratio``.  ``factor`` is the paper's
+    upper bound on that worst case, in turn strictly below ``bound``.
     """
 
     n: int
@@ -72,20 +82,73 @@ class StabilityReport:
     max_ratio: float
     factor: float
     bound: float
+    attained: float
+    adversarial_ratio: float
     passed: bool
 
 
 def amplification_factor(n: int, backend: str | None = None) -> float:
-    """Exact worst-case sup-norm amplification at size n.
+    """The paper's upper bound on the sup-norm amplification at size n.
 
     The maximum over all matrix positions (a, b) of the sum, over vertex
     pairs i < j, of |J[a,i] * J[j,b]| with J the centering matrix.
-    Always at least ((n-1)/n)^2 and strictly below 4.
+    Always at least ((n-1)/n)^2 and strictly below 4.  It bounds
+    :func:`attained_amplification` from above and equals it only at n=2.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
     J = centering_matrix(n).entries
     return amplification_kernel(J, backend=backend)
+
+
+def attained_amplification(n: int) -> float:
+    """True worst-case sup-norm amplification at size n, in closed form.
+
+    The Gram perturbation is X[a,b] = -1/2 sum over pairs i < j of
+    e_ij (J[a,i] J[j,b] + J[a,j] J[i,b]), so the worst case over noise of
+    unit sup-norm is the maximum over (a, b) of half the sum of the
+    absolute coefficients.  Off the diagonal (a != b) that sum is
+    (4n^2 - 15n + 16) / (2n^2), on it (n-1)(3n-4) / (2n^2); the two
+    differ by (n-2)(n-6) / (2n^2), so the diagonal wins for 3 <= n <= 5,
+    they tie at n = 2 and 6, and the limit is 2.  :func:`worst_case_noise`
+    attains it.
+    """
+    if n < 2:
+        raise DomainError(f"need at least 2 points, got n={n}")
+    off_diagonal = (4 * n * n - 15 * n + 16) / (2 * n * n)
+    diagonal = (n - 1) * (3 * n - 4) / (2 * n * n)
+    return max(off_diagonal, diagonal)
+
+
+def worst_case_noise(n: int) -> NoiseMatrix:
+    """A unit sign pattern whose Gram perturbation attains the worst case.
+
+    Each e_ij takes the sign of its coefficient at the maximizing
+    position.  For n >= 6 that is (a, b) = (1, 2): +1 on the pair (1, 2),
+    -1 on the pairs sharing exactly one vertex with it, +1 on the
+    disjoint pairs.  For n <= 5 it is a = b = 1: -1 on the pairs that
+    contain vertex 1, +1 elsewhere.
+    """
+    if n < 2:
+        raise DomainError(f"need at least 2 points, got n={n}")
+    # in both cases the -1 pairs are those with exactly one anchor vertex
+    anchor = (np.arange(n) < (2 if n >= 6 else 1)).astype(int)
+    E = np.where(anchor[:, None] + anchor[None, :] == 1, -1.0, 1.0)
+    np.fill_diagonal(E, 0.0)
+    return NoiseMatrix(E)
+
+
+def gram_perturbation(noise: NoiseMatrix) -> np.ndarray:
+    """The Gram perturbation -1/2 J E J, by row means and the grand mean.
+
+    E is symmetric, so its column means equal its row means m, and
+    J E J = E - m 1^T - 1 m^T + mean(m).  O(n^2), against O(n^4) for the
+    atom sum of :func:`perturbed_gram` minus the clean expansion, which
+    gives the same matrix up to roundoff.
+    """
+    E = noise.entries
+    m = E.mean(axis=1)
+    return -0.5 * (E - m[:, None] - m[None, :] + m.mean())
 
 
 def perturbed_gram(D: SquaredDistanceMatrix, noise: NoiseMatrix,
@@ -104,44 +167,58 @@ def perturbed_gram(D: SquaredDistanceMatrix, noise: NoiseMatrix,
 
 def noise_experiment(n: int, r: int, epsilon: float, trials: int,
                      seed: int, backend: str | None = None) -> StabilityReport:
-    """Seeded random noise trials: observed amplification vs. the exact factor.
+    """Seeded random noise trials and one adversarial trial against the bounds.
 
-    Each trial draws a standard-normal configuration of n points in r
-    dimensions, its squared distances, and symmetric hollow noise with
-    entries uniform in [-epsilon, epsilon]; it then records the ratio
-    ‖noisy Gram - clean Gram‖_sup / ‖noise‖_sup.  Per-trial generators
-    are spawned from the master seed, so the report is reproducible and
-    independent of execution order.
+    Each random trial draws a standard-normal configuration of n points
+    in r dimensions and symmetric hollow noise E with entries uniform in
+    [-epsilon, epsilon]; it records ‖-1/2 J E J‖_sup / ‖E‖_sup, which by
+    linearity is exactly ‖noisy Gram - clean Gram‖_sup / ‖E‖_sup.  The
+    configuration therefore never enters the ratio; it is still drawn so
+    that every trial's noise stays the same draw from its stream.
+    Per-trial generators are spawned from the master seed, so the report
+    is reproducible and independent of execution order.  The adversarial
+    trial runs :func:`worst_case_noise` through the same computation.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     if not epsilon > 0:
         raise DomainError(f"noise level must be positive, got {epsilon}")
+    # row sums of the noise can reach (n-1)*epsilon and |E - m - m + mean|
+    # 4*epsilon; both must stay finite
+    if not math.isfinite(max(n, 4) * epsilon):
+        raise DomainError(f"noise level {epsilon} is too large for n={n}")
     if not 1 <= r < n:
         raise DomainError(f"need n > r >= 1, got n={n}, r={r}")
     factor = amplification_factor(n, backend=backend)
+    attained = attained_amplification(n)
     rows, cols = pair_arrays(n)
     max_ratio = 0.0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        P = PointConfiguration(rng.standard_normal((n, r)))
-        D = squared_distances(P)
+        rng.standard_normal((n, r))
         upper = rng.uniform(-epsilon, epsilon, size=rows.shape[0])
         E = np.zeros((n, n))
         E[rows, cols] = upper
         E[cols, rows] = upper
-        noise = NoiseMatrix(E)
-        clean = dual_expansion(D, backend=backend).entries
-        noisy = perturbed_gram(D, noise, backend=backend).entries
-        deviation = float(np.max(np.abs(noisy - clean)))
-        ratio = deviation / noise.sup_norm()
-        max_ratio = max(max_ratio, ratio)
-    passed = max_ratio < NOISE_BOUND and max_ratio <= factor + 1e-12
+        max_ratio = max(max_ratio, _ratio(NoiseMatrix(E)))
+    adversarial_ratio = _ratio(worst_case_noise(n))
+    passed = (
+        max_ratio <= attained * (1 + 1e-12)
+        and abs(adversarial_ratio - attained) <= 1e-12 * attained
+        and attained <= factor < NOISE_BOUND
+    )
     return StabilityReport(
         n=n,
         trials=trials,
         max_ratio=max_ratio,
         factor=factor,
         bound=NOISE_BOUND,
+        attained=attained,
+        adversarial_ratio=adversarial_ratio,
         passed=passed,
     )
+
+
+def _ratio(noise: NoiseMatrix) -> float:
+    """‖Gram perturbation‖_sup over ‖noise‖_sup."""
+    return float(np.max(np.abs(gram_perturbation(noise)))) / noise.sup_norm()

@@ -74,7 +74,7 @@ def double_center_brute(D: np.ndarray) -> np.ndarray:
 
 
 def amplification_enumerated(n: int, swapped: bool = False) -> float:
-    """Literal O(n^4) evaluation of the worst-case amplification.
+    """Literal O(n^4) evaluation of the paper's amplification bound.
 
     The ``swapped`` variant exchanges the roles of i and j inside the
     absolute product; by the symmetry of the centering matrix it must
@@ -96,7 +96,7 @@ def amplification_enumerated(n: int, swapped: bool = False) -> float:
 
 
 def amplification_exact(n: int) -> Fraction:
-    """Exact-rational worst-case amplification (no floating point at all)."""
+    """The paper's amplification bound in exact rationals (no floating point)."""
     J = centering_exact(n)
     best = Fraction(0)
     for a in range(n):
@@ -108,6 +108,35 @@ def amplification_exact(n: int) -> Fraction:
             if s > best:
                 best = s
     return best
+
+
+def attained_amplification_exact(n: int) -> Fraction:
+    """Exact-rational true worst case of the Gram perturbation per unit noise.
+
+    The perturbation at (a, b) is -1/2 sum over pairs i < j of
+    e_ij (J[a,i] J[j,b] + J[a,j] J[i,b]); over |e_ij| <= 1 its largest
+    magnitude is half the sum of the absolute coefficients, maximized
+    here over every position (a, b) by enumeration.
+    """
+    J = centering_exact(n)
+    best = Fraction(0)
+    for a in range(n):
+        for b in range(n):
+            s = Fraction(0)
+            for i, j in combinations(range(n), 2):
+                s += abs(J[a][i] * J[j][b] + J[a][j] * J[i][b])
+            best = max(best, s / 2)
+    return best
+
+
+def gram_perturbation_exact(E: list[list[Fraction]]) -> list[list[Fraction]]:
+    """-1/2 J E J by two exact-rational matrix products."""
+    n = len(E)
+    J = centering_exact(n)
+    JE = [[sum(J[a][k] * E[k][b] for k in range(n)) for b in range(n)]
+          for a in range(n)]
+    return [[-sum(JE[a][k] * J[k][b] for k in range(n)) / 2 for b in range(n)]
+            for a in range(n)]
 
 
 def constraint_dense(n: int) -> np.ndarray:

@@ -77,9 +77,9 @@ KNOWN_CONSTRAINT_ROWS_N4 = {
     ((2, 3), 4): [0, 0, 0, 1, -1, -1],
 }
 
-# worst-case noise amplification at n=4, frozen from the exact rational
-# brute force (both oracles in oracles.py agree)
-WORST_CASE_FACTOR_N4 = Fraction(11, 8)
+# the paper's bound on the noise amplification at n=4, frozen from the
+# exact rational brute force (both oracles in oracles.py agree)
+AMPLIFICATION_BOUND_N4 = Fraction(11, 8)
 
 
 def seeded_configurations(count=100):
@@ -181,12 +181,12 @@ def test_criterion_08_noise_amplification_bound():
     started = time.perf_counter()
     for n in range(2, 201):
         assert amplification_factor(n) < 4.0, f"n={n}"
-    # the exact worst case at n=4, pinned by two independent oracles
+    # the paper's bound at n=4, pinned by two independent oracles
     oracle_float = oracles.amplification_enumerated(4)
     oracle_exact = oracles.amplification_exact(4)
-    assert oracle_exact == WORST_CASE_FACTOR_N4
-    assert oracle_float == float(WORST_CASE_FACTOR_N4)
-    assert amplification_factor(4) == float(WORST_CASE_FACTOR_N4)
+    assert oracle_exact == AMPLIFICATION_BOUND_N4
+    assert oracle_float == float(AMPLIFICATION_BOUND_N4)
+    assert amplification_factor(4) == float(AMPLIFICATION_BOUND_N4)
     for n in (4, 8, 16):
         report = noise_experiment(n=n, r=2, epsilon=0.01, trials=1000, seed=n)
         assert report.max_ratio <= report.factor + 1e-12, f"n={n}"

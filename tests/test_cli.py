@@ -272,6 +272,31 @@ class TestNoise:
         assert main(["noise", "--n", "4", "--trials", "0"]) == 2
         capsys.readouterr()
 
+    def test_payload_keys(self, capsys):
+        assert main(["noise", "--n", "7", "--trials", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["checks"][0]["payload"]
+        assert list(payload) == ["max_observed_ratio", "amplification_factor",
+                                 "bound", "attained_factor", "adversarial_ratio"]
+        assert payload["max_observed_ratio"] <= payload["attained_factor"] \
+            <= payload["amplification_factor"] < payload["bound"]
+
+    def test_two_points_pass_exactly(self, capsys):
+        # every trial attains the worst case 1/4 at n=2; roundoff in the
+        # old difference of two atom sums pushed it over and failed
+        assert main(["noise", "--n", "2", "--r", "1", "--trials", "1000",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["checks"][0]["payload"]
+        assert payload["max_observed_ratio"] == 0.25
+        assert payload["attained_factor"] == payload["adversarial_ratio"] == 0.25
+
+    @pytest.mark.parametrize("epsilon", ["inf", "1e308"])
+    def test_overflowing_epsilon_exit_2(self, epsilon, capsys):
+        assert main(["noise", "--n", "4", "--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: noise level ")
+        assert "internal error" not in captured.err
+
 
 class TestNearness:
     def test_dense_export(self, tmp_path, capsys):

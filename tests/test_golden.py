@@ -16,6 +16,12 @@ the points file written by the first, all recorded when ``embed`` still
 parsed its CSV value by value with ``float()`` and ran the Euclidean test
 as a separate double centering and eigendecomposition.  The same BLAS
 caveat applies.
+
+``data/noise_n64.json`` is the ``noise --n 64 --r 2 --trials 200 --seed 0
+--format json`` report as computed by -1/2 J E J from row and grand
+means, with the attained worst case and the adversarial trial.  The
+earlier difference of two atom sums gave a ``max_observed_ratio`` that
+differs in the last digits by roundoff, and had neither of those keys.
 """
 
 import hashlib
@@ -80,3 +86,9 @@ def test_embed_non_euclidean_report(tmp_path, monkeypatch, capsys):
     assert main(["embed", "bad.csv", "--format", "json"]) == 2
     assert capsys.readouterr().out == \
         (DATA / "embed_non_euclidean.json").read_text()
+
+
+def test_noise_n64_report(capsys):
+    assert main(["noise", "--n", "64", "--r", "2", "--trials", "200",
+                 "--seed", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "noise_n64.json").read_text()
