@@ -108,9 +108,18 @@ def basis_atom(alpha: PairIndex) -> BasisAtom:
 
 
 def dual_atom(alpha: PairIndex) -> DualAtom:
-    """The rank-2 dual atom for pair alpha, factored through J's columns."""
-    J = centering_matrix(alpha.n).entries
-    return DualAtom(alpha=alpha, a=J[:, alpha.i - 1].copy(), b=J[:, alpha.j - 1].copy())
+    """The rank-2 dual atom for pair alpha, factored through J's columns.
+
+    Column k of J is e_k - (1/n) 1, formed directly: 1 + (-1/n) is the
+    same float as 1 - 1/n, so the factors equal the columns of
+    :func:`~dualmds.pairspace.centering_matrix` bit for bit.
+    """
+    n = alpha.n
+    a = np.full(n, -1.0 / n)
+    a[alpha.i - 1] += 1.0
+    b = np.full(n, -1.0 / n)
+    b[alpha.j - 1] += 1.0
+    return DualAtom(alpha=alpha, a=a, b=b)
 
 
 def dual_atom_eigenpairs(alpha: PairIndex) -> tuple[tuple[float, np.ndarray],
@@ -173,6 +182,27 @@ def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.nd
     M[np.arange(L), cols] = 1.0
     # float64 so the product runs in BLAS; counts of 0, 1, 2 are exact
     return (M @ M.T == 1.0).astype(np.int64)
+
+
+def integer_deviation(H: np.ndarray, other: np.ndarray, sign: int, diag: int) -> int:
+    """max |rint(H) + sign * other - diag * I| over all entries, as an exact integer.
+
+    ``H`` is a float matrix with integer entries, such as the atom Gram
+    matrix, ``other`` an integer matrix of the same shape and ``sign``
+    +1 or -1.  The difference is formed in one int64 array, in place,
+    so no float temporary of the size of ``H`` is made.
+    """
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    D = np.empty(H.shape, dtype=np.int64)
+    np.rint(H, out=D, casting="unsafe")
+    if sign == 1:
+        D += other
+    else:
+        D -= other
+    D[np.diag_indices_from(D)] -= diag
+    np.abs(D, out=D)
+    return int(D.max())
 
 
 def h_matvec(n: int, x: np.ndarray) -> np.ndarray:

@@ -22,17 +22,15 @@ import time
 import numpy as np
 
 from . import _reference
-from .basis import basis_atom, basis_gram, dual_atom, dual_gram_matrix
+from .basis import basis_atom, basis_gram, dual_atom, dual_gram_matrix, integer_deviation
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import format_float, read_matrix_csv, write_matrix_csv, write_triplets
 from .mds import embed, squared_distances
-from .nearness import constraint_gram, constraint_matrix, gram_identity_check, \
-    predicted_singular_values
+from .nearness import constraint_matrix, singular_value_verdict
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
 from .report import CheckResult, RunReport
-from .spectral import group_spectrum, sym_eig
 from .stability import noise_experiment
-from .verification import GROUPING_REL_TOL, run_verification
+from .verification import run_verification
 
 
 def _emit(report: RunReport, fmt: str, out_path: str | None) -> None:
@@ -146,7 +144,9 @@ def cmd_nearness(args) -> int:
         else:
             write_triplets(args.out, A.triplets())
         parameters["out"] = args.out
-    identity_ok, deviation = gram_identity_check(args.n)
+    gram = A.gram()
+    deviation = integer_deviation(basis_gram(args.n).entries, gram, 1, 3 * args.n - 2)
+    sv_ok, groups = singular_value_verdict(args.n, gram)
     checks = [
         CheckResult(
             "shape",
@@ -154,23 +154,9 @@ def cmd_nearness(args) -> int:
             {"rows": A.num_rows, "columns": A.num_cols,
              "nonzeros": 3 * A.num_rows},
         ),
-        CheckResult("gram_identity", identity_ok, {"max_deviation": deviation}),
+        CheckResult("gram_identity", deviation == 0, {"max_deviation": deviation}),
+        CheckResult("singular_values", sv_ok, {"groups": groups}),
     ]
-    vals, _ = sym_eig(constraint_gram(args.n).astype(float))
-    observed = group_spectrum(np.sqrt(np.clip(vals, 0.0, None)),
-                              rel_tol=GROUPING_REL_TOL)
-    expected = predicted_singular_values(args.n)
-    sv_ok = len(observed.groups) == len(expected) and all(
-        mult == em and abs(rep - ev) <= GROUPING_REL_TOL * max(1.0, abs(ev))
-        for (rep, mult), (ev, em) in zip(observed.groups, expected)
-    )
-    checks.append(
-        CheckResult(
-            "singular_values",
-            sv_ok,
-            {"groups": [(round(r, 9), m) for r, m in observed.groups]},
-        )
-    )
     return _finish(RunReport("nearness", parameters, checks), started,
                    "text", None)
 

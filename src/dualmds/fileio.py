@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ParseError
 
+TRIPLET_BLOCK_LINES = 8192
+
 
 def format_float(x: float) -> str:
     """Shortest decimal representation that round-trips the exact value."""
@@ -86,9 +88,17 @@ def _read_by_lines(path: str | os.PathLike) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def write_triplets(path: str | os.PathLike,
-                   triplets: list[tuple[int, int, int]]) -> None:
-    """Write sparse entries as ``row col sign`` lines, 1-based, sorted."""
+def write_triplets(path: str | os.PathLike, triplets) -> None:
+    """Write sparse entries as ``row col sign`` lines, 1-based, sorted.
+
+    ``triplets`` is an (m, 3) integer array or a list of (row, col, sign)
+    tuples, in any order.  Lines are formatted a block of
+    TRIPLET_BLOCK_LINES at a time, which bounds the Python integers and
+    text held at once.
+    """
+    T = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    T = T[np.lexsort(T.T[::-1])]
     with open(path, "w", encoding="ascii") as fh:
-        for row, col, sign in sorted(triplets):
-            fh.write(f"{row} {col} {sign}\n")
+        for start in range(0, T.shape[0], TRIPLET_BLOCK_LINES):
+            block = T[start:start + TRIPLET_BLOCK_LINES]
+            fh.write(("%d %d %d\n" * block.shape[0]) % tuple(block.ravel().tolist()))

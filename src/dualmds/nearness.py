@@ -18,9 +18,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import basis_gram
+from .basis import basis_gram, integer_deviation
 from .errors import DomainError, ResourceLimitError
 from .pairspace import PairIndex, linear_index, num_pairs
+from .spectral import spectrum_verdict, sym_eigvals
 
 DENSE_ENTRY_CAP = 200_000_000
 
@@ -150,17 +151,37 @@ class ConstraintMatrix:
         A[rows, self.neg_cols[:, 1]] = -1
         return A
 
-    def triplets(self) -> list[tuple[int, int, int]]:
-        """All signed entries as (row, column, sign), 1-based, sorted."""
-        out = []
-        for t in range(self.num_rows):
-            entries = [
-                (int(self.pos_col[t]), 1),
-                (int(self.neg_cols[t, 0]), -1),
-                (int(self.neg_cols[t, 1]), -1),
-            ]
-            out.extend((t + 1, col + 1, sign) for col, sign in sorted(entries))
-        return out
+    def triplets(self) -> np.ndarray:
+        """All signed entries as rows (row, column, sign), 1-based, sorted.
+
+        An int64 array of shape (3 * num_rows, 3), ordered by row, then
+        column.
+        """
+        rows = np.repeat(np.arange(1, self.num_rows + 1), 3)
+        cols = np.column_stack([self.pos_col, self.neg_cols]).ravel() + 1
+        signs = np.tile(np.array([1, -1, -1], dtype=np.int64), self.num_rows)
+        order = np.lexsort((cols, rows))
+        return np.column_stack([rows, cols, signs])[order]
+
+    def gram(self) -> np.ndarray:
+        """A^T A, exact in int64.
+
+        Entry (p, q) sums sign_a * sign_b over the slots a, b of every row
+        with column p in slot a and column q in slot b.  Slot 0 holds the
+        +1 and slots 1, 2 the -1s, so the five slot pairs (0,0), (1,1),
+        (2,2), (1,2), (2,1) add 1 and the four (0,1), (0,2), (1,0), (2,0)
+        subtract 1: two counts of the flat index p * L + q.
+        """
+        L = self.num_cols
+        slots = (self.pos_col, self.neg_cols[:, 0], self.neg_cols[:, 1])
+
+        def count(pairs):
+            flat = np.concatenate([slots[a] * L + slots[b] for a, b in pairs])
+            return np.bincount(flat, minlength=L * L)
+
+        G = count(((0, 0), (1, 1), (2, 2), (1, 2), (2, 1)))
+        G -= count(((0, 1), (0, 2), (1, 0), (2, 0)))
+        return G.reshape(L, L)
 
     def apply(self, upper: np.ndarray) -> np.ndarray:
         """Product A @ upper for a vector indexed by pairs."""
@@ -212,16 +233,8 @@ def constraint_matrix(n: int) -> ConstraintMatrix:
 
 
 def constraint_gram(n: int) -> np.ndarray:
-    """A^T A accumulated exactly in integers from the sparse triplets."""
-    A = constraint_matrix(n)
-    L = A.num_cols
-    cols = np.column_stack([A.pos_col, A.neg_cols])
-    signs = np.array([1, -1, -1], dtype=np.int64)
-    G = np.zeros((L, L), dtype=np.int64)
-    for a in range(3):
-        for b in range(3):
-            np.add.at(G, (cols[:, a], cols[:, b]), signs[a] * signs[b])
-    return G
+    """A^T A accumulated exactly in integers from the sparse entries."""
+    return constraint_matrix(n).gram()
 
 
 def gram_identity_check(n: int) -> tuple[bool, int]:
@@ -230,11 +243,7 @@ def gram_identity_check(n: int) -> tuple[bool, int]:
     Returns (holds, maximum absolute integer deviation).  The diagonal of
     A^T A counts the nonzeros per column, 3(n-2).
     """
-    gram = constraint_gram(n)
-    H = np.rint(basis_gram(n).entries).astype(np.int64)
-    L = num_pairs(n)
-    expected = (3 * n - 2) * np.eye(L, dtype=np.int64) - H
-    deviation = int(np.max(np.abs(gram - expected)))
+    deviation = integer_deviation(basis_gram(n).entries, constraint_gram(n), 1, 3 * n - 2)
     return deviation == 0, deviation
 
 
@@ -256,6 +265,19 @@ def predicted_singular_values(n: int) -> list[tuple[float, int]]:
     if sum(m for _, m in kept) != num_pairs(n):
         raise DomainError("singular-value multiplicities must sum to the pair count")
     return kept
+
+
+def singular_value_verdict(n: int,
+                           gram: np.ndarray) -> tuple[bool, list[tuple[float, int]]]:
+    """Verdict on A's singular values, and their groups, from ``gram`` = A^T A.
+
+    The singular values are the square roots of the eigenvalues of
+    ``gram``, compared with :func:`predicted_singular_values` by
+    :func:`~dualmds.spectral.spectrum_verdict`.  ``verify`` and
+    ``nearness`` report the result under their own check names.
+    """
+    singular = np.sqrt(np.clip(sym_eigvals(gram.astype(float)), 0.0, None))
+    return spectrum_verdict(singular, predicted_singular_values(n))
 
 
 def violations(D: DissimilarityMatrix, tol: float = 0.0) -> list[ConstraintViolation]:

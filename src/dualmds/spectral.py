@@ -1,8 +1,10 @@
 """Deterministic symmetric eigendecomposition with multiplicity grouping.
 
-Every spectrum check in the package goes through :func:`sym_eig` so that
+Every spectrum check in the package goes through this module so that
 eigenvalue ordering and eigenvector signs are fixed once, here, and
-golden tests stay stable across runs.
+golden tests stay stable across runs.  Checks that need eigenvectors
+call :func:`sym_eig`; spectrum checks that need no vectors call
+:func:`sym_eigvals`, which skips computing them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_GROUP_TOL = 1e-8
+SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +51,7 @@ class SpectrumReport:
         return 0
 
 
-def sym_eig(M: np.ndarray, sym_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(M: np.ndarray, sym_tol: float = SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
@@ -57,6 +60,26 @@ def sym_eig(M: np.ndarray, sym_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
     resolved toward the lowest index), which makes the output a pure
     function of the input matrix.
     """
+    vals, vecs = np.linalg.eigh(_symmetric(M, sym_tol))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    _normalize_signs(vecs)
+    return vals, vecs
+
+
+def sym_eigvals(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
+
+    Validates as :func:`sym_eig` does at its default ``SYM_TOL``.
+    LAPACK computes the values alone by a different route than together
+    with the vectors, so they may differ from ``sym_eig(M)[0]`` in the
+    last bits.
+    """
+    return np.linalg.eigvalsh(_symmetric(M, SYM_TOL))[::-1].copy()
+
+
+def _symmetric(M, sym_tol: float) -> np.ndarray:
+    """``M`` as a float array; raises unless square and symmetric within sym_tol."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
@@ -65,11 +88,7 @@ def sym_eig(M: np.ndarray, sym_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
             f"matrix not symmetric within {sym_tol:.1e}: "
             f"max |M - M^T| = {float(np.max(np.abs(M - M.T))):.3e}"
         )
-    vals, vecs = np.linalg.eigh(M)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    _normalize_signs(vecs)
-    return vals, vecs
+    return M
 
 
 def _normalize_signs(vecs: np.ndarray) -> None:
@@ -103,3 +122,21 @@ def group_spectrum(eigenvalues, rel_tol: float = DEFAULT_GROUP_TOL) -> SpectrumR
             groups.append((float(block.mean()), int(block.size)))
             start = k
     return SpectrumReport(groups=tuple(groups), raw=vals.copy(), rel_tol=rel_tol)
+
+
+def spectrum_verdict(eigenvalues, expected) -> tuple[bool, list[tuple[float, int]]]:
+    """Group descending eigenvalues and compare the groups with a prediction.
+
+    ``expected`` lists (value, multiplicity) in descending order.  The
+    verdict holds when there are as many groups as predicted and each
+    has the predicted multiplicity and, within DEFAULT_GROUP_TOL times
+    max(1, |value|), the predicted value.  Returned with it are the
+    observed groups, representatives rounded to 9 digits as the reports
+    print them.
+    """
+    observed = group_spectrum(eigenvalues)
+    ok = len(observed.groups) == len(expected) and all(
+        mult == em and abs(rep - ev) <= DEFAULT_GROUP_TOL * max(1.0, abs(ev))
+        for (rep, mult), (ev, em) in zip(observed.groups, expected)
+    )
+    return ok, [(round(r, 9), m) for r, m in observed.groups]

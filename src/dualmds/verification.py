@@ -21,6 +21,7 @@ from .basis import (
     dual_gram_matrix,
     triangular_graph_adjacency,
     h_spectrum_predicted,
+    integer_deviation,
 )
 from .errors import DomainError
 from .mds import (
@@ -30,12 +31,11 @@ from .mds import (
     procrustes_residual,
     squared_distances,
 )
-from .nearness import constraint_gram, constraint_matrix, gram_identity_check, \
-    predicted_singular_values
+from .nearness import ConstraintMatrix, constraint_matrix, singular_value_verdict
 from .pairspace import PairIndex, PointConfiguration, linear_to_pair, num_pairs, \
     pair_arrays
 from .report import CheckResult
-from .spectral import group_spectrum, sym_eig
+from .spectral import spectrum_verdict, sym_eig, sym_eigvals
 
 BIORTHOGONALITY_TOL = 1e-12
 BIORTHOGONALITY_BLOCK_ENTRIES = 1 << 16
@@ -43,23 +43,25 @@ DUAL_SPECTRUM_TOL = 1e-10
 INVERSE_TOL = 1e-9
 EXPANSION_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-7
-GROUPING_REL_TOL = 1e-8
 RANDOM_CONFIGS = 5
 
 
-def _check_reference_objects() -> CheckResult:
-    """Golden four-point objects, compared in exact scaled integers."""
+def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix) -> CheckResult:
+    """Golden four-point objects, compared in exact scaled integers.
+
+    ``H`` and ``A`` are the run's atom Gram and constraint matrices at
+    n = REFERENCE_N.
+    """
     n = _reference.REFERENCE_N
     alpha = PairIndex(1, 2, n)
     atom_dev = int(np.max(np.abs(basis_atom(alpha).entries - _reference.ATOM_12)))
     dual_dev = float(
         np.max(np.abs(16.0 * dual_atom(alpha).materialize() - _reference.DUAL_12_X16))
     )
-    gram_dev = float(np.max(np.abs(basis_gram(n).entries - _reference.ATOM_GRAM)))
+    gram_dev = float(np.max(np.abs(H - _reference.ATOM_GRAM)))
     inverse_dev = float(
         np.max(np.abs(16.0 * dual_gram_matrix(n) - _reference.DUAL_GRAM_X16))
     )
-    A = constraint_matrix(n)
     dense = A.to_dense()
     row_dev = 0
     for (pos, apex), expected in _reference.CONSTRAINT_ROWS.items():
@@ -85,28 +87,14 @@ def _check_reference_objects() -> CheckResult:
     )
 
 
-def _check_atom_gram_spectrum(n: int) -> CheckResult:
-    H = basis_gram(n).entries
-    vals, _ = sym_eig(H)
-    observed = group_spectrum(vals, rel_tol=GROUPING_REL_TOL)
-    predicted = h_spectrum_predicted(n)
-    expected = sorted(predicted, key=lambda g: -g[0])
-    ok = len(observed.groups) == len(expected) and all(
-        mult == em and abs(rep - ev) <= GROUPING_REL_TOL * max(1.0, abs(ev))
-        for (rep, mult), (ev, em) in zip(observed.groups, expected)
-    )
-    return CheckResult(
-        "atom_gram_spectrum",
-        ok,
-        {"groups": [(round(r, 9), m) for r, m in observed.groups]},
-    )
+def _check_atom_gram_spectrum(n: int, H: np.ndarray) -> CheckResult:
+    expected = sorted(h_spectrum_predicted(n), key=lambda g: -g[0])
+    ok, groups = spectrum_verdict(sym_eigvals(H), expected)
+    return CheckResult("atom_gram_spectrum", ok, {"groups": groups})
 
 
-def _check_triangular_decomposition(n: int) -> CheckResult:
-    H = np.rint(basis_gram(n).entries).astype(np.int64)
-    adjacency = triangular_graph_adjacency(n)
-    deviation = int(np.max(np.abs(H - 4 * np.eye(num_pairs(n), dtype=np.int64)
-                                  - adjacency)))
+def _check_triangular_decomposition(n: int, H: np.ndarray) -> CheckResult:
+    deviation = integer_deviation(H, triangular_graph_adjacency(n), -1, 4)
     return CheckResult("triangular_decomposition", deviation == 0,
                        {"max_deviation": deviation})
 
@@ -180,8 +168,7 @@ def _check_dual_atom_spectra(n: int, rng: np.random.Generator) -> CheckResult:
     )
 
 
-def _check_dual_gram_inverse(n: int) -> CheckResult:
-    H = basis_gram(n).entries
+def _check_dual_gram_inverse(n: int, H: np.ndarray) -> CheckResult:
     G = dual_gram_matrix(n)
     deviation = float(np.max(np.abs(G @ H - np.eye(num_pairs(n)))))
     return CheckResult("dual_gram_inverse", deviation <= INVERSE_TOL,
@@ -219,44 +206,46 @@ def _check_embedding_round_trip(n: int, rng: np.random.Generator) -> CheckResult
                        {"max_relative_residual": worst})
 
 
-def _check_constraint_gram_identity(n: int) -> CheckResult:
-    ok, deviation = gram_identity_check(n)
-    return CheckResult("constraint_gram_identity", ok, {"max_deviation": deviation})
+def _check_constraint_gram_identity(n: int, gram: np.ndarray,
+                                    H: np.ndarray) -> CheckResult:
+    deviation = integer_deviation(H, gram, 1, 3 * n - 2)
+    return CheckResult("constraint_gram_identity", deviation == 0,
+                       {"max_deviation": deviation})
 
 
-def _check_constraint_singular_values(n: int) -> CheckResult:
-    gram = constraint_gram(n).astype(float)
-    vals, _ = sym_eig(gram)
-    singular = np.sqrt(np.clip(vals, 0.0, None))
-    observed = group_spectrum(singular, rel_tol=GROUPING_REL_TOL)
-    expected = predicted_singular_values(n)
-    ok = len(observed.groups) == len(expected) and all(
-        mult == em and abs(rep - ev) <= GROUPING_REL_TOL * max(1.0, abs(ev))
-        for (rep, mult), (ev, em) in zip(observed.groups, expected)
-    )
-    return CheckResult(
-        "constraint_singular_values",
-        ok,
-        {"groups": [(round(r, 9), m) for r, m in observed.groups]},
-    )
+def _check_constraint_singular_values(n: int, gram: np.ndarray) -> CheckResult:
+    ok, groups = singular_value_verdict(n, gram)
+    return CheckResult("constraint_singular_values", ok, {"groups": groups})
 
 
 def run_verification(n: int, seed: int = 0,
                      backend: str | None = None) -> list[CheckResult]:
-    """Run every check at size n; the golden-object check joins at n = 4."""
+    """Run every check at size n; the golden-object check joins at n = 4.
+
+    The L x L atom Gram matrix H and the constraint matrix A with its
+    Gram A^T A are built once and handed to the checks that read them.
+    A^T A is formed only after the round-trip check and H is released
+    after the identity check, so the two are held together only where
+    a check reads both.
+    """
     if n < 3:
         raise DomainError(f"verification needs n >= 3, got n={n}")
     rng = np.random.default_rng(seed)
+    H = basis_gram(n).entries
     checks: list[CheckResult] = []
-    if n == _reference.REFERENCE_N:
-        checks.append(_check_reference_objects())
-    checks.append(_check_atom_gram_spectrum(n))
-    checks.append(_check_triangular_decomposition(n))
+    checks.append(_check_atom_gram_spectrum(n, H))
+    checks.append(_check_triangular_decomposition(n, H))
     checks.append(_check_biorthogonality(n))
     checks.append(_check_dual_atom_spectra(n, rng))
-    checks.append(_check_dual_gram_inverse(n))
+    checks.append(_check_dual_gram_inverse(n, H))
     checks.append(_check_expansion_equivalence(n, rng, backend))
     checks.append(_check_embedding_round_trip(n, rng))
-    checks.append(_check_constraint_gram_identity(n))
-    checks.append(_check_constraint_singular_values(n))
+    A = constraint_matrix(n)
+    if n == _reference.REFERENCE_N:
+        # listed first, but run once A exists
+        checks.insert(0, _check_reference_objects(H, A))
+    gram = A.gram()
+    checks.append(_check_constraint_gram_identity(n, gram, H))
+    del H
+    checks.append(_check_constraint_singular_values(n, gram))
     return checks

@@ -196,3 +196,46 @@ def normalize_signs_by_columns(vecs: np.ndarray) -> np.ndarray:
         if out[lead, k] < 0:
             out[:, k] = -out[:, k]
     return out
+
+
+def _constraint_rows(n: int) -> list[tuple[list[int], list[int]]]:
+    """Per constraint row, in row order: its 0-based columns and their signs.
+
+    Triples in lexicographic order, three rows each, the positive edge
+    cycling through (i,j), (i,k), (j,k).
+    """
+    col = {p: k for k, p in enumerate(lex_pairs(n))}
+    rows = []
+    for i, j, k in combinations(range(1, n + 1), 3):
+        edges = ((i, j), (i, k), (j, k))
+        for positive in edges:
+            rows.append(([col[e] for e in edges],
+                         [1 if e == positive else -1 for e in edges]))
+    return rows
+
+
+def constraint_gram_by_scatter(n: int) -> np.ndarray:
+    """A^T A in int64 by scattering sign products of every slot pair (np.add.at)."""
+    rows = _constraint_rows(n)
+    cols = np.array([c for c, _ in rows], dtype=np.int64)
+    signs = np.array([s for _, s in rows], dtype=np.int64)
+    L = len(lex_pairs(n))
+    G = np.zeros((L, L), dtype=np.int64)
+    for a in range(3):
+        for b in range(3):
+            np.add.at(G, (cols[:, a], cols[:, b]), signs[:, a] * signs[:, b])
+    return G
+
+
+def constraint_triplets_by_rows(n: int) -> list[tuple[int, int, int]]:
+    """(row, column, sign), 1-based, by a loop over rows, each sorted by column."""
+    out = []
+    for t, (cols, signs) in enumerate(_constraint_rows(n)):
+        out.extend((t + 1, c + 1, s) for c, s in sorted(zip(cols, signs)))
+    return out
+
+
+def dual_factors_from_centering(i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the dual atom at (i, j): columns i and j of I - (1/n) 11^T."""
+    J = np.eye(n) - np.full((n, n), 1.0 / n)
+    return J[:, i - 1].copy(), J[:, j - 1].copy()

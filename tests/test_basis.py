@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dualmds import (
+    CenteringMatrix,
     PairIndex,
     basis_atom,
     basis_gram,
+    centering_matrix,
     dual_atom,
     dual_atom_eigenpairs,
     dual_gram_entry,
@@ -18,6 +20,7 @@ from dualmds import (
     sym_eig,
     triangular_graph_adjacency,
 )
+from dualmds.basis import integer_deviation
 from dualmds.errors import DomainError, ResourceLimitError
 
 import oracles
@@ -119,6 +122,29 @@ class TestDualAtom:
         sing = np.linalg.svd(dual_atom(PairIndex(1, 2, 2)).materialize(),
                              compute_uv=False)
         assert np.sum(sing > 1e-10) == 1
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_factors_are_centering_columns_bit_for_bit(self, n):
+        J = centering_matrix(n).entries
+        for alpha in all_pairs(n):
+            v = dual_atom(alpha)
+            a, b = oracles.dual_factors_from_centering(alpha.i, alpha.j, n)
+            assert np.array_equal(v.a, a) and np.array_equal(v.b, b)
+            assert np.array_equal(v.a, J[:, alpha.i - 1])
+            assert np.array_equal(v.b, J[:, alpha.j - 1])
+
+    def test_builds_no_centering_matrix(self, monkeypatch):
+        built = []
+        original = CenteringMatrix.__init__
+
+        def counted(self, n):
+            built.append(n)
+            original(self, n)
+
+        monkeypatch.setattr(CenteringMatrix, "__init__", counted)
+        for alpha in all_pairs(12):
+            dual_atom(alpha)
+        assert built == []
 
 
 class TestBiorthogonality:
@@ -229,6 +255,30 @@ class TestTriangularGraph:
         A = triangular_graph_adjacency(n)
         assert A.dtype == np.int64
         np.testing.assert_array_equal(A, oracles.triangular_adjacency_by_sets(n))
+
+
+class TestIntegerDeviation:
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_triangular_decomposition_is_zero(self, n):
+        assert integer_deviation(basis_gram(n).entries,
+                                 triangular_graph_adjacency(n), -1, 4) == 0
+
+    def test_counts_a_wrong_diagonal_and_a_wrong_entry(self):
+        H = basis_gram(5).entries
+        A = triangular_graph_adjacency(5)
+        assert integer_deviation(H, A, -1, 6) == 2
+        A[1, 4] += 5
+        assert integer_deviation(H, A, -1, 4) == 5
+
+    def test_sign_adds_or_subtracts(self):
+        H = np.array([[1.0, 2.0], [2.0, 1.0]])
+        other = np.array([[0, 2], [2, 0]])
+        assert integer_deviation(H, other, -1, 1) == 0
+        assert integer_deviation(H, other, 1, 1) == 4
+
+    def test_rejects_other_signs(self):
+        with pytest.raises(DomainError):
+            integer_deviation(np.eye(2), np.eye(2, dtype=np.int64), 0, 1)
 
 
 class TestHSpectrum:

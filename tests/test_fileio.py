@@ -208,6 +208,18 @@ class TestTriplets:
         write_triplets(path, [(2, 1, -1), (1, 3, -1), (1, 1, 1)])
         assert path.read_text() == "1 1 1\n1 3 -1\n2 1 -1\n"
 
+    def test_unsorted_array(self, tmp_path):
+        path = tmp_path / "t.txt"
+        write_triplets(path, np.array([[12, 3, 1], [2, 10, -1], [2, 9, -1]]))
+        assert path.read_text() == "2 9 -1\n2 10 -1\n12 3 1\n"
+
+    def test_lines_past_one_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "TRIPLET_BLOCK_LINES", 4)
+        entries = [(r, c, 1 - 2 * (c % 2)) for r in range(3, 0, -1) for c in (3, 1, 2)]
+        path = tmp_path / "t.txt"
+        write_triplets(path, entries)
+        assert path.read_text() == "".join(f"{r} {c} {s}\n" for r, c, s in sorted(entries))
+
     def test_empty_list(self, tmp_path):
         path = tmp_path / "t.txt"
         write_triplets(path, [])

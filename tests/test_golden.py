@@ -10,6 +10,14 @@ spectrum, inverse and round-trip checks come from LAPACK/BLAS; they were
 recorded with numpy's bundled OpenBLAS, and another BLAS build may differ
 in their last digits.
 
+``data/verify_n40.json`` and ``data/nearness_n40.txt`` are the reports of
+``dualmds verify --n 40 --format json`` and of ``dualmds nearness --n 40``
+(without ``elapsed_seconds``), recorded when ``verify`` and ``nearness``
+still built the atom Gram matrix and the constraint matrix once per
+check, and took every spectrum by a full eigendecomposition with
+eigenvectors.  Their groups are printed to 9 digits, which the
+eigenvalue-only LAPACK route must reproduce.
+
 ``data/embed_n200.json`` and ``data/embed_non_euclidean.json`` are the
 ``embed --format json`` reports, and the second digest below is that of
 the points file written by the first, all recorded when ``embed`` still
@@ -45,6 +53,18 @@ def test_verify_n40_report(capsys):
     lines = [line for line in capsys.readouterr().out.splitlines()
              if not line.lstrip().startswith("elapsed_seconds:")]
     assert "\n".join(lines) + "\n" == (DATA / "verify_n40.txt").read_text()
+
+
+def test_verify_n40_json_report(capsys):
+    assert main(["verify", "--n", "40", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_n40.json").read_text()
+
+
+def test_nearness_n40_report(capsys):
+    assert main(["nearness", "--n", "40"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.lstrip().startswith("elapsed_seconds:")]
+    assert "\n".join(lines) + "\n" == (DATA / "nearness_n40.txt").read_text()
 
 
 def test_nearness_n40_triplet_export(tmp_path, capsys):

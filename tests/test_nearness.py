@@ -10,6 +10,7 @@ from dualmds import (
     PairIndex,
     SquaredDistanceMatrix,
     TripleConstraint,
+    basis_gram,
     constraint_gram,
     constraint_matrix,
     gram_identity_check,
@@ -19,6 +20,7 @@ from dualmds import (
     violations,
 )
 from dualmds.errors import DomainError, ResourceLimitError
+from dualmds.basis import integer_deviation
 
 import oracles
 
@@ -139,8 +141,14 @@ class TestDenseAndSparseAgree:
             rebuilt[row - 1, col - 1] = sign
         np.testing.assert_array_equal(rebuilt, A.to_dense())
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_triplets_match_row_loop_oracle(self, n):
+        trips = constraint_matrix(n).triplets()
+        assert trips.dtype == np.int64
+        np.testing.assert_array_equal(trips, oracles.constraint_triplets_by_rows(n))
+
     def test_triplets_sorted(self):
-        trips = constraint_matrix(4).triplets()
+        trips = constraint_matrix(4).triplets().tolist()
         assert trips == sorted(trips)
 
     def test_every_row_one_plus_two_minus(self):
@@ -181,6 +189,21 @@ class TestGramIdentity:
         for n in (3, 4, 6):
             A = constraint_matrix(n).to_dense()
             np.testing.assert_array_equal(constraint_gram(n), A.T @ A)
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_gram_matches_scatter_oracle(self, n):
+        G = constraint_matrix(n).gram()
+        assert G.dtype == np.int64
+        np.testing.assert_array_equal(G, oracles.constraint_gram_by_scatter(n))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 7), (9, 9)])
+    def test_deviation_counts_one_wrong_entry(self, entry):
+        n = 5
+        gram = constraint_gram(n)
+        H = basis_gram(n).entries
+        assert integer_deviation(H, gram, 1, 3 * n - 2) == 0
+        gram[entry] -= 3
+        assert integer_deviation(H, gram, 1, 3 * n - 2) == 3
 
 
 class TestPredictedSingularValues:

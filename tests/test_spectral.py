@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualmds import basis_gram, group_spectrum, sym_eig
+from dualmds.spectral import spectrum_verdict, sym_eigvals
 from dualmds.errors import DomainError
 from dualmds.spectral import _normalize_signs
 
@@ -98,6 +99,35 @@ class TestSymEig:
             sym_eig(np.zeros((2, 3)))
 
 
+class TestSymEigvals:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20, 60, 200])
+    def test_matches_sym_eig_values(self, dim):
+        rng = np.random.default_rng(dim)
+        S = rng.standard_normal((dim, dim))
+        M = S + S.T
+        vals = sym_eigvals(M)
+        expected, _ = sym_eig(M)
+        assert vals.shape == (dim,)
+        assert np.all(np.diff(vals) <= 0)
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_atom_gram_four_points(self):
+        np.testing.assert_allclose(sym_eigvals(basis_gram(4).entries),
+                                   [8, 4, 4, 4, 2, 2], atol=1e-9)
+
+    def test_empty(self):
+        assert sym_eigvals(np.zeros((0, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("M", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 3)),
+                                   np.zeros(4)])
+    def test_rejects_as_sym_eig_does(self, M):
+        with pytest.raises(DomainError) as vals_error:
+            sym_eigvals(M)
+        with pytest.raises(DomainError) as eig_error:
+            sym_eig(M)
+        assert str(vals_error.value) == str(eig_error.value)
+
+
 class TestGroupSpectrum:
     def test_example_with_near_ties(self):
         report = group_spectrum([8.0, 4.0000001, 3.9999999, 2.0], rel_tol=1e-6)
@@ -136,3 +166,20 @@ class TestGroupSpectrum:
         report = group_spectrum([8.0, 4.0, 4.0, 2.0])
         assert report.multiplicity_of(4.0) == 2
         assert report.multiplicity_of(7.0) == 0
+
+
+class TestSpectrumVerdict:
+    def test_matching_groups_pass_and_print_rounded(self):
+        vals = [8.0 + 1e-12, 4.0, 4.0, 4.0, 2.0, 2.0]
+        assert spectrum_verdict(vals, [(8.0, 1), (4.0, 3), (2.0, 2)]) == \
+            (True, [(8.0, 1), (4.0, 3), (2.0, 2)])
+
+    @pytest.mark.parametrize("expected", [
+        [(8.0, 1), (4.0, 2), (2.0, 3)],          # wrong multiplicities
+        [(8.0, 1), (4.0 + 1e-6, 3), (2.0, 2)],   # value off by more than the tolerance
+        [(8.0, 1), (4.0, 5)],                    # wrong number of groups
+    ])
+    def test_mismatch_fails(self, expected):
+        ok, groups = spectrum_verdict([8.0, 4.0, 4.0, 4.0, 2.0, 2.0], expected)
+        assert ok is False
+        assert groups == [(8.0, 1), (4.0, 3), (2.0, 2)]

@@ -3,7 +3,9 @@
 import pytest
 
 from dualmds import num_pairs, verification
-from dualmds.basis import DualAtom, dual_atom
+from dualmds.basis import BasisGram, DualAtom, dual_atom
+from dualmds.cli import main
+from dualmds.nearness import ConstraintMatrix
 from dualmds.errors import DomainError
 from dualmds.report import CheckResult
 from dualmds.verification import run_verification
@@ -92,3 +94,40 @@ class TestBiorthogonality:
         result = verification._check_biorthogonality(n)
         assert result.passed is False
         assert result.payload["max_deviation"] == pytest.approx(1e-9, rel=1e-3)
+
+
+class TestBuildsOncePerRun:
+    """Each L x L object is built once per run, whoever asks for it.
+
+    Constructions are counted on the classes, so a build through any
+    module's binding of ``basis_gram`` or ``constraint_matrix`` counts.
+    """
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"H": 0, "A": 0, "AtA": 0}
+
+        def counting(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        counting(BasisGram, "__post_init__", "H")
+        counting(ConstraintMatrix, "__init__", "A")
+        counting(ConstraintMatrix, "gram", "AtA")
+        return counts
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_verify(self, builds, n):
+        checks = run_verification(n)
+        assert all(c.passed for c in checks)
+        assert builds == {"H": 1, "A": 1, "AtA": 1}
+
+    def test_nearness(self, builds, capsys):
+        assert main(["nearness", "--n", "12"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert builds == {"H": 1, "A": 1, "AtA": 1}
