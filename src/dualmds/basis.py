@@ -11,6 +11,13 @@ as 4I plus the adjacency matrix of the triangular graph (pairs adjacent
 iff they share a vertex), which pins its spectrum to the three values
 2, n and 2n.  The Gram matrix of the v family is H^{-1}, with entries
 available in closed form from centering-matrix entries.
+
+With M the L x n pair-vertex incidence matrix, H = 2I + M M^T, and
+M M^T (:func:`pair_overlaps`, the number of vertices two pairs share)
+takes the values 0, 1 and 2.  So the dual Gram matrix is a lookup of
+three floats indexed by M M^T, and the spectrum of M M^T comes from the
+n x n matrix M^T M padded with zeros (:func:`overlap_spectrum`); no
+L x L eigensolve is needed where M M^T is known exactly.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .pairspace import PairIndex, centering_matrix, num_pairs, pair_arrays
+from .pairspace import PairIndex, num_pairs, pair_arrays
+from .spectral import sym_eigvals
 
 DENSE_PAIR_CAP = 20000
+DEVIATION_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,50 +168,126 @@ def basis_gram(n: int, max_pairs: int = DENSE_PAIR_CAP) -> BasisGram:
     return BasisGram(n=n, entries=H)
 
 
-def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.ndarray:
-    """Adjacency matrix of the triangular graph: pairs adjacent iff they meet.
+def incidence_matrix(n: int) -> np.ndarray:
+    """The L x n pair-vertex incidence matrix M: a 1 at both vertices of each pair.
 
-    Built independently of :func:`basis_gram`: with M the L x n pair-vertex
-    incidence matrix (a 1 at both vertices of each pair), M M^T counts the
-    vertices two pairs share -- 2 on the diagonal, 1 for adjacent pairs,
-    0 for disjoint ones -- instead of comparing endpoints as
-    :func:`basis_gram` does.  ``basis_gram(n) - 4I`` must equal this
-    matrix exactly.
+    float64, so that products with it run in BLAS; their entries are
+    small integer counts and therefore exact.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
+    L = num_pairs(n)
+    rows, cols = pair_arrays(n)
+    M = np.zeros((L, n))
+    M[np.arange(L), rows] = 1.0
+    M[np.arange(L), cols] = 1.0
+    return M
+
+
+def pair_overlaps(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.ndarray:
+    """M M^T as uint8: the number of vertices two pairs share, 0, 1 or 2.
+
+    Every L x L matrix the package checks lies in span{I, M M^T, 11^T}:
+    H = 2I + M M^T and A^T A = (3n-4) I - M M^T.  One byte per entry
+    holds the counts exactly at an eighth of the memory of H.
+    """
     L = num_pairs(n)
     if L > max_pairs:
         raise ResourceLimitError(
             f"n={n} gives {L} pairs, beyond the dense cap of {max_pairs}"
         )
-    rows, cols = pair_arrays(n)
-    M = np.zeros((L, n))
-    M[np.arange(L), rows] = 1.0
-    M[np.arange(L), cols] = 1.0
-    # float64 so the product runs in BLAS; counts of 0, 1, 2 are exact
-    return (M @ M.T == 1.0).astype(np.int64)
+    M = incidence_matrix(n)
+    return (M @ M.T).astype(np.uint8)
+
+
+def overlap_spectrum(n: int) -> np.ndarray:
+    """The L eigenvalues of M M^T, descending, from the n x n matrix M^T M.
+
+    M M^T and M^T M share their nonzero eigenvalues, and L >= n for
+    n >= 3, so the spectrum of M M^T is that of M^T M followed by L - n
+    exact zeros.  M^T M = (n-2) I + 11^T has the eigenvalues n - 2 and
+    2n - 2, so the zeros come last; at n = 2 (L = 1) the zero eigenvalue
+    of M^T M is the one dropped.  Only an n x n eigensolve is made.
+    """
+    M = incidence_matrix(n)
+    L = num_pairs(n)
+    values = np.zeros(max(L, n))
+    values[:n] = sym_eigvals(M.T @ M)
+    return values[:L]
+
+
+def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP,
+                               overlaps: np.ndarray | None = None) -> np.ndarray:
+    """Adjacency matrix of the triangular graph: pairs adjacent iff they meet.
+
+    Built independently of :func:`basis_gram`: M M^T counts the vertices
+    two pairs share -- 2 on the diagonal, 1 for adjacent pairs, 0 for
+    disjoint ones -- instead of comparing endpoints as :func:`basis_gram`
+    does.  ``overlaps`` is M M^T from :func:`pair_overlaps`, when the
+    caller already holds it.  ``basis_gram(n) - 4I`` must equal this
+    matrix exactly.
+    """
+    if n < 2:
+        raise DomainError(f"need at least 2 points, got n={n}")
+    if overlaps is None:
+        overlaps = pair_overlaps(n, max_pairs)
+    return (overlaps == 1).astype(np.int64)
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    import os
+
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def require_dense_memory(n: int, arrays: float, what: str) -> None:
+    """Refuse a dense run whose estimated peak exceeds physical memory.
+
+    The estimate is ``arrays`` L x L float64 arrays, arrays * L^2 * 8
+    bytes; each caller states its measured ``arrays``.  Called before
+    anything of that size is allocated, so an oversized request ends
+    with :class:`~dualmds.errors.ResourceLimitError` (exit 2), not by
+    exhausting memory.
+    """
+    need = arrays * num_pairs(n) ** 2 * 8
+    have = physical_memory()
+    if have is not None and need > have:
+        raise ResourceLimitError(
+            f"{what} at n={n} needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def integer_deviation(H: np.ndarray, other: np.ndarray, sign: int, diag: int) -> int:
     """max |rint(H) + sign * other - diag * I| over all entries, as an exact integer.
 
-    ``H`` is a float matrix with integer entries, such as the atom Gram
+    ``H`` is a square matrix with integer entries, such as the atom Gram
     matrix, ``other`` an integer matrix of the same shape and ``sign``
-    +1 or -1.  The difference is formed in one int64 array, in place,
-    so no float temporary of the size of ``H`` is made.
+    +1 or -1.  The difference is formed in int64 a block of rows at a
+    time, about DEVIATION_BLOCK_ENTRIES entries each, so no temporary of
+    the size of ``H`` is made.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    D = np.empty(H.shape, dtype=np.int64)
-    np.rint(H, out=D, casting="unsafe")
-    if sign == 1:
-        D += other
-    else:
-        D -= other
-    D[np.diag_indices_from(D)] -= diag
-    np.abs(D, out=D)
-    return int(D.max())
+    rows = H.shape[0]
+    step = max(1, DEVIATION_BLOCK_ENTRIES // max(1, H.shape[1]))
+    worst = 0
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        D = np.empty((stop - start, H.shape[1]), dtype=np.int64)
+        np.rint(H[start:stop], out=D, casting="unsafe")
+        if sign == 1:
+            D += other[start:stop]
+        else:
+            D -= other[start:stop]
+        D[np.arange(stop - start), np.arange(start, stop)] -= diag
+        np.abs(D, out=D)
+        worst = max(worst, int(D.max()))
+    return worst
 
 
 def h_matvec(n: int, x: np.ndarray) -> np.ndarray:
@@ -259,21 +344,25 @@ def dual_gram_entry(alpha: PairIndex, beta: PairIndex) -> float:
     )
 
 
-def dual_gram_matrix(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.ndarray:
-    """All L x L inner products of the dual family, i.e. H^{-1}."""
+def dual_gram_matrix(n: int, max_pairs: int = DENSE_PAIR_CAP,
+                     overlaps: np.ndarray | None = None) -> np.ndarray:
+    """All L x L inner products of the dual family, i.e. H^{-1}.
+
+    The entry formula of :func:`dual_gram_entry` reads four entries of
+    the centering matrix J, each d = 1 - 1/n on the diagonal or o = -1/n
+    off it, so it takes one value per number of shared vertices:
+    (d d + o o)/2 for equal pairs, (d o + o o)/2 for pairs that share a
+    vertex and (o o + o o)/2 for disjoint ones.  These are the same
+    floating-point products the entry formula forms, so the matrix is a
+    lookup of three floats indexed by ``overlaps`` = M M^T
+    (:func:`pair_overlaps`, built here when not given).
+    """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
-    L = num_pairs(n)
-    if L > max_pairs:
-        raise ResourceLimitError(
-            f"n={n} gives {L} pairs, beyond the dense cap of {max_pairs}"
-        )
-    J = centering_matrix(n).entries
-    rows, cols = pair_arrays(n)
-    # The dot products of J's columns are J's own entries (J symmetric,
-    # idempotent), so the entry formula vectorizes over all pair pairs.
-    G = 0.5 * (
-        J[np.ix_(rows, rows)] * J[np.ix_(cols, cols)]
-        + J[np.ix_(rows, cols)] * J[np.ix_(cols, rows)]
-    )
-    return G
+    if overlaps is None:
+        overlaps = pair_overlaps(n, max_pairs)
+    d, o = 1.0 - 1.0 / n, -1.0 / n
+    values = np.array([0.5 * (o * o + o * o),
+                       0.5 * (d * o + o * o),
+                       0.5 * (d * d + o * o)])
+    return values[overlaps]

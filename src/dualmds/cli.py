@@ -22,11 +22,12 @@ import time
 import numpy as np
 
 from . import _reference
-from .basis import basis_atom, basis_gram, dual_atom, dual_gram_matrix, integer_deviation
+from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix, integer_deviation,
+                    require_dense_memory)
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import format_float, read_matrix_csv, write_matrix_csv, write_triplets
 from .mds import embed, squared_distances
-from .nearness import constraint_matrix, singular_value_verdict
+from .nearness import NEARNESS_PEAK_ARRAYS, constraint_matrix, singular_value_verdict
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
 from .report import CheckResult, RunReport
 from .stability import noise_experiment
@@ -136,6 +137,7 @@ def cmd_noise(args) -> int:
 
 def cmd_nearness(args) -> int:
     started = time.perf_counter()
+    require_dense_memory(args.n, NEARNESS_PEAK_ARRAYS, "nearness")
     A = constraint_matrix(args.n)
     parameters = {"n": args.n, "format": args.format}
     if args.out:

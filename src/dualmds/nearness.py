@@ -8,7 +8,10 @@ row and one column per vertex pair.
 
 The Gram matrix A^T A relates back to the atom Gram matrix H through the
 exact integer identity A^T A = (3n-2) I - H, which pins A's singular
-values to sqrt(3n-4), sqrt(2n-2) and sqrt(n-2).
+values to sqrt(3n-4), sqrt(2n-2) and sqrt(n-2).  Equivalently A^T A =
+(3n-4) I - M M^T with M the pair-vertex incidence matrix; once that holds
+exactly, the singular values are read off the n x n matrix M^T M, and
+only otherwise is A^T A decomposed densely.
 """
 
 from __future__ import annotations
@@ -18,12 +21,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import basis_gram, integer_deviation
+from .basis import basis_gram, integer_deviation, overlap_spectrum, pair_overlaps
 from .errors import DomainError, ResourceLimitError
 from .pairspace import PairIndex, linear_index, num_pairs
 from .spectral import spectrum_verdict, sym_eigvals
 
 DENSE_ENTRY_CAP = 200_000_000
+# Peak memory of `dualmds nearness` in L x L float64 arrays (8 L^2 bytes
+# each), for the up-front refusal.  Measured peak RSS without --out: 211 MB
+# at n = 80 and 898 MB at n = 120, a slope of 2.10 arrays; rounded up.
+NEARNESS_PEAK_ARRAYS = 2.2
 
 
 def num_constraints(n: int) -> int:
@@ -267,16 +274,29 @@ def predicted_singular_values(n: int) -> list[tuple[float, int]]:
     return kept
 
 
-def singular_value_verdict(n: int,
-                           gram: np.ndarray) -> tuple[bool, list[tuple[float, int]]]:
+def singular_value_verdict(n: int, gram: np.ndarray,
+                           overlaps: np.ndarray | None = None
+                           ) -> tuple[bool, list[tuple[float, int]]]:
     """Verdict on A's singular values, and their groups, from ``gram`` = A^T A.
 
     The singular values are the square roots of the eigenvalues of
     ``gram``, compared with :func:`predicted_singular_values` by
-    :func:`~dualmds.spectral.spectrum_verdict`.  ``verify`` and
-    ``nearness`` report the result under their own check names.
+    :func:`~dualmds.spectral.spectrum_verdict`.  When A^T A = (3n-4) I -
+    M M^T holds exactly, with ``overlaps`` = M M^T
+    (:func:`~dualmds.basis.pair_overlaps`, built here when not given),
+    they are sqrt(3n-4 - mu) over the eigenvalues mu of M M^T, which
+    :func:`~dualmds.basis.overlap_spectrum` takes from the n x n matrix
+    M^T M.  Otherwise ``gram`` is decomposed densely, so a failing
+    report shows its actual spectrum.  ``verify`` and ``nearness``
+    report the result under their own check names.
     """
-    singular = np.sqrt(np.clip(sym_eigvals(gram.astype(float)), 0.0, None))
+    if overlaps is None:
+        overlaps = pair_overlaps(n)
+    if integer_deviation(gram, overlaps, 1, 3 * n - 4) == 0:
+        eigenvalues = (3 * n - 4) - overlap_spectrum(n)[::-1]
+    else:
+        eigenvalues = sym_eigvals(gram.astype(float))
+    singular = np.sqrt(np.clip(eigenvalues, 0.0, None))
     return spectrum_verdict(singular, predicted_singular_values(n))
 
 

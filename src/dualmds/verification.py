@@ -6,6 +6,15 @@ the triangular-graph decomposition, biorthogonality, the dual atoms'
 two-eigenvalue structure, the assembled dual Gram being the inverse,
 agreement of the two Gram-matrix routes, embedding round trips, and the
 constraint-matrix identity with its singular spectrum.
+
+The L x L matrices are built once per run (L = n(n-1)/2 pairs), and none
+is decomposed when the run passes.  With M the L x n pair-vertex
+incidence matrix, the two spectrum checks first test, exactly in
+integers, that H - 2I and (3n-4)I - A^T A equal M M^T; the spectra then
+follow from the n x n matrix M^T M.  When a test fails, the check falls
+back to a dense eigensolve of the matrix itself, so a failing report
+prints its actual spectrum.  A run whose estimated peak memory exceeds
+physical memory is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ from .basis import (
     triangular_graph_adjacency,
     h_spectrum_predicted,
     integer_deviation,
+    overlap_spectrum,
+    pair_overlaps,
+    require_dense_memory,
 )
 from .errors import DomainError
 from .mds import (
@@ -44,13 +56,18 @@ INVERSE_TOL = 1e-9
 EXPANSION_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-7
 RANDOM_CONFIGS = 5
+# Peak memory of a run in L x L float64 arrays (8 L^2 bytes each), for the
+# up-front refusal.  Measured peak RSS of `dualmds verify`: 318 MB at n = 80
+# and 1341 MB at n = 120, a slope of 3.12 arrays; rounded up.
+VERIFY_PEAK_ARRAYS = 3.2
 
 
-def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix) -> CheckResult:
+def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix,
+                             overlaps: np.ndarray) -> CheckResult:
     """Golden four-point objects, compared in exact scaled integers.
 
-    ``H`` and ``A`` are the run's atom Gram and constraint matrices at
-    n = REFERENCE_N.
+    ``H``, ``A`` and ``overlaps`` are the run's atom Gram matrix,
+    constraint matrix and pair overlaps at n = REFERENCE_N.
     """
     n = _reference.REFERENCE_N
     alpha = PairIndex(1, 2, n)
@@ -60,7 +77,8 @@ def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix) -> CheckResult:
     )
     gram_dev = float(np.max(np.abs(H - _reference.ATOM_GRAM)))
     inverse_dev = float(
-        np.max(np.abs(16.0 * dual_gram_matrix(n) - _reference.DUAL_GRAM_X16))
+        np.max(np.abs(16.0 * dual_gram_matrix(n, overlaps=overlaps)
+                      - _reference.DUAL_GRAM_X16))
     )
     dense = A.to_dense()
     row_dev = 0
@@ -87,14 +105,28 @@ def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix) -> CheckResult:
     )
 
 
-def _check_atom_gram_spectrum(n: int, H: np.ndarray) -> CheckResult:
+def _check_atom_gram_spectrum(n: int, H: np.ndarray,
+                              overlaps: np.ndarray) -> CheckResult:
+    """Spectrum of H, through M^T M once H - 2I = M M^T holds exactly.
+
+    Then the eigenvalues of H are 2 plus those of M M^T, which
+    :func:`~dualmds.basis.overlap_spectrum` takes from the n x n matrix
+    M^T M.  Otherwise H is decomposed densely, so a failing report shows
+    H's actual spectrum.
+    """
     expected = sorted(h_spectrum_predicted(n), key=lambda g: -g[0])
-    ok, groups = spectrum_verdict(sym_eigvals(H), expected)
+    if integer_deviation(H, overlaps, -1, 2) == 0:
+        eigenvalues = 2.0 + overlap_spectrum(n)
+    else:
+        eigenvalues = sym_eigvals(H)
+    ok, groups = spectrum_verdict(eigenvalues, expected)
     return CheckResult("atom_gram_spectrum", ok, {"groups": groups})
 
 
-def _check_triangular_decomposition(n: int, H: np.ndarray) -> CheckResult:
-    deviation = integer_deviation(H, triangular_graph_adjacency(n), -1, 4)
+def _check_triangular_decomposition(n: int, H: np.ndarray,
+                                    overlaps: np.ndarray) -> CheckResult:
+    deviation = integer_deviation(
+        H, triangular_graph_adjacency(n, overlaps=overlaps), -1, 4)
     return CheckResult("triangular_decomposition", deviation == 0,
                        {"max_deviation": deviation})
 
@@ -168,9 +200,12 @@ def _check_dual_atom_spectra(n: int, rng: np.random.Generator) -> CheckResult:
     )
 
 
-def _check_dual_gram_inverse(n: int, H: np.ndarray) -> CheckResult:
-    G = dual_gram_matrix(n)
-    deviation = float(np.max(np.abs(G @ H - np.eye(num_pairs(n)))))
+def _check_dual_gram_inverse(n: int, H: np.ndarray,
+                             overlaps: np.ndarray) -> CheckResult:
+    """max |G H - I| with G the dual Gram matrix, formed in the product's array."""
+    product = dual_gram_matrix(n, overlaps=overlaps) @ H
+    product[np.diag_indices_from(product)] -= 1.0
+    deviation = float(np.max(np.abs(product, out=product)))
     return CheckResult("dual_gram_inverse", deviation <= INVERSE_TOL,
                        {"max_deviation": deviation})
 
@@ -213,8 +248,9 @@ def _check_constraint_gram_identity(n: int, gram: np.ndarray,
                        {"max_deviation": deviation})
 
 
-def _check_constraint_singular_values(n: int, gram: np.ndarray) -> CheckResult:
-    ok, groups = singular_value_verdict(n, gram)
+def _check_constraint_singular_values(n: int, gram: np.ndarray,
+                                      overlaps: np.ndarray) -> CheckResult:
+    ok, groups = singular_value_verdict(n, gram, overlaps)
     return CheckResult("constraint_singular_values", ok, {"groups": groups})
 
 
@@ -222,30 +258,33 @@ def run_verification(n: int, seed: int = 0,
                      backend: str | None = None) -> list[CheckResult]:
     """Run every check at size n; the golden-object check joins at n = 4.
 
-    The L x L atom Gram matrix H and the constraint matrix A with its
-    Gram A^T A are built once and handed to the checks that read them.
-    A^T A is formed only after the round-trip check and H is released
-    after the identity check, so the two are held together only where
-    a check reads both.
+    The run is refused up front when its estimated peak memory exceeds
+    physical memory.  The L x L atom Gram matrix H, the pair overlaps
+    M M^T and the constraint matrix A with its Gram A^T A are built once
+    and handed to the checks that read them.  A^T A is formed only after
+    the round-trip check and H is released after the identity check, so
+    the two are held together only where a check reads both.
     """
     if n < 3:
         raise DomainError(f"verification needs n >= 3, got n={n}")
+    require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
     rng = np.random.default_rng(seed)
     H = basis_gram(n).entries
+    overlaps = pair_overlaps(n)
     checks: list[CheckResult] = []
-    checks.append(_check_atom_gram_spectrum(n, H))
-    checks.append(_check_triangular_decomposition(n, H))
+    checks.append(_check_atom_gram_spectrum(n, H, overlaps))
+    checks.append(_check_triangular_decomposition(n, H, overlaps))
     checks.append(_check_biorthogonality(n))
     checks.append(_check_dual_atom_spectra(n, rng))
-    checks.append(_check_dual_gram_inverse(n, H))
+    checks.append(_check_dual_gram_inverse(n, H, overlaps))
     checks.append(_check_expansion_equivalence(n, rng, backend))
     checks.append(_check_embedding_round_trip(n, rng))
     A = constraint_matrix(n)
     if n == _reference.REFERENCE_N:
         # listed first, but run once A exists
-        checks.insert(0, _check_reference_objects(H, A))
+        checks.insert(0, _check_reference_objects(H, A, overlaps))
     gram = A.gram()
     checks.append(_check_constraint_gram_identity(n, gram, H))
     del H
-    checks.append(_check_constraint_singular_values(n, gram))
+    checks.append(_check_constraint_singular_values(n, gram, overlaps))
     return checks

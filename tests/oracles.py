@@ -239,3 +239,29 @@ def dual_factors_from_centering(i: int, j: int, n: int) -> tuple[np.ndarray, np.
     """The factors of the dual atom at (i, j): columns i and j of I - (1/n) 11^T."""
     J = np.eye(n) - np.full((n, n), 1.0 / n)
     return J[:, i - 1].copy(), J[:, j - 1].copy()
+
+
+def dual_gram_by_gathers(n: int, rows=None) -> np.ndarray:
+    """Dual Gram matrix from four gathers of the centering matrix's entries.
+
+    Entry (alpha, beta) with alpha = (i, j), beta = (k, l) is
+    (J[i,k] J[j,l] + J[i,l] J[j,k]) / 2: the dyadic-factor formula, the
+    dot products of J's columns being J's own entries.  ``rows`` selects
+    0-based row positions alpha (all when None), so large n can be
+    compared a block at a time.
+    """
+    J = centering(n)
+    prs = np.array(lex_pairs(n)) - 1
+    r, c = prs[:, 0], prs[:, 1]
+    sel = np.arange(len(prs)) if rows is None else np.asarray(rows)
+    ri, ci = r[sel], c[sel]
+    return 0.5 * (
+        J[np.ix_(ri, r)] * J[np.ix_(ci, c)] + J[np.ix_(ri, c)] * J[np.ix_(ci, r)]
+    )
+
+
+def pair_overlaps_by_sets(n: int) -> np.ndarray:
+    """Number of vertices two pairs share, |e & f|, for every pair of pairs."""
+    prs = lex_pairs(n)
+    return np.array([[len(set(e) & set(f)) for f in prs] for e in prs],
+                    dtype=np.int64)

@@ -20,7 +20,13 @@ from dualmds import (
     sym_eig,
     triangular_graph_adjacency,
 )
-from dualmds.basis import integer_deviation
+from dualmds.basis import (
+    incidence_matrix,
+    integer_deviation,
+    overlap_spectrum,
+    pair_overlaps,
+)
+from dualmds import basis
 from dualmds.errors import DomainError, ResourceLimitError
 
 import oracles
@@ -257,6 +263,39 @@ class TestTriangularGraph:
         np.testing.assert_array_equal(A, oracles.triangular_adjacency_by_sets(n))
 
 
+class TestPairOverlaps:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_matches_set_intersection_oracle(self, n):
+        overlaps = pair_overlaps(n)
+        assert overlaps.dtype == np.uint8
+        np.testing.assert_array_equal(overlaps, oracles.pair_overlaps_by_sets(n))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_incidence_has_two_ones_per_pair(self, n):
+        M = incidence_matrix(n)
+        assert M.shape == (num_pairs(n), n)
+        for k, (i, j) in enumerate(oracles.lex_pairs(n)):
+            np.testing.assert_array_equal(np.nonzero(M[k])[0], [i - 1, j - 1])
+
+    def test_dense_cap(self):
+        with pytest.raises(ResourceLimitError):
+            pair_overlaps(10, max_pairs=44)
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_spectrum_matches_dense_decomposition(self, n):
+        dense = np.linalg.eigvalsh(oracles.pair_overlaps_by_sets(n).astype(float))
+        np.testing.assert_allclose(overlap_spectrum(n), dense[::-1], atol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_spectrum_is_padded_with_exact_zeros(self, n):
+        values = overlap_spectrum(n)
+        L = num_pairs(n)
+        assert values.shape == (L,)
+        assert np.all(values[n:] == 0.0)
+        np.testing.assert_allclose(values[:n], [2 * n - 2] + [n - 2] * (n - 1),
+                                   atol=1e-12)
+
+
 class TestIntegerDeviation:
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_triangular_decomposition_is_zero(self, n):
@@ -275,6 +314,16 @@ class TestIntegerDeviation:
         other = np.array([[0, 2], [2, 0]])
         assert integer_deviation(H, other, -1, 1) == 0
         assert integer_deviation(H, other, 1, 1) == 4
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_row_blocks_find_the_worst_entry(self, block, monkeypatch):
+        monkeypatch.setattr(basis, "DEVIATION_BLOCK_ENTRIES", block)
+        H = basis_gram(6).entries
+        A = triangular_graph_adjacency(6)
+        assert integer_deviation(H, A, -1, 4) == 0
+        A[-1, 3] -= 9
+        assert integer_deviation(H, A, -1, 4) == 9
+        assert integer_deviation(H, A, -1, 2) == 9
 
     def test_rejects_other_signs(self):
         with pytest.raises(DomainError):
@@ -356,6 +405,29 @@ class TestDualGram:
         H = basis_gram(n).entries
         G = dual_gram_matrix(n)
         assert np.max(np.abs(G @ H - np.eye(num_pairs(n)))) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_bitwise_equal_to_gathers(self, n):
+        G = dual_gram_matrix(n)
+        O = oracles.dual_gram_by_gathers(n)
+        assert G.dtype == O.dtype and G.shape == O.shape
+        assert G.tobytes() == O.tobytes()
+
+    @pytest.mark.parametrize("n", range(41, 121))
+    def test_bitwise_equal_to_gathers_in_row_blocks(self, n):
+        # every row meets all three orbits; three blocks of rows per size
+        # keep the oracle's gathers small
+        L = num_pairs(n)
+        M = incidence_matrix(n)
+        for start in (0, L // 2, L - 16):
+            rows = np.arange(start, start + 16)
+            overlaps = (M[rows] @ M.T).astype(np.uint8)
+            G = dual_gram_matrix(n, overlaps=overlaps)
+            assert G.tobytes() == oracles.dual_gram_by_gathers(n, rows).tobytes()
+
+    def test_shared_overlaps_give_the_same_matrix(self):
+        G = dual_gram_matrix(9, overlaps=pair_overlaps(9))
+        assert G.tobytes() == dual_gram_matrix(9).tobytes()
 
     def test_entry_function_matches_matrix(self):
         n = 6

@@ -1,14 +1,30 @@
 """The self-verification suite as a library call."""
 
+import numpy as np
 import pytest
 
-from dualmds import num_pairs, verification
-from dualmds.basis import BasisGram, DualAtom, dual_atom
+from dualmds import basis, cli, num_pairs, verification
+from dualmds.basis import (
+    BasisGram,
+    DualAtom,
+    basis_gram,
+    dual_atom,
+    h_spectrum_predicted,
+    pair_overlaps,
+    require_dense_memory,
+)
 from dualmds.cli import main
-from dualmds.nearness import ConstraintMatrix
-from dualmds.errors import DomainError
+from dualmds.nearness import (
+    NEARNESS_PEAK_ARRAYS,
+    ConstraintMatrix,
+    constraint_gram,
+    predicted_singular_values,
+    singular_value_verdict,
+)
+from dualmds.errors import DomainError, ResourceLimitError
 from dualmds.report import CheckResult
-from dualmds.verification import run_verification
+from dualmds.spectral import spectrum_verdict, sym_eigvals
+from dualmds.verification import VERIFY_PEAK_ARRAYS, run_verification
 
 import oracles
 
@@ -131,3 +147,149 @@ class TestBuildsOncePerRun:
         assert main(["nearness", "--n", "12"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
         assert builds == {"H": 1, "A": 1, "AtA": 1}
+
+
+def _dense_h_verdict(n, H):
+    expected = sorted(h_spectrum_predicted(n), key=lambda g: -g[0])
+    return spectrum_verdict(sym_eigvals(H), expected)
+
+
+def _dense_singular_verdict(n, gram):
+    singular = np.sqrt(np.clip(sym_eigvals(gram.astype(float)), 0.0, None))
+    return spectrum_verdict(singular, predicted_singular_values(n))
+
+
+def _bumped(matrix, p=0, q=5):
+    """A writable copy with one off-diagonal entry (and its mirror) raised by 1."""
+    out = np.array(matrix)
+    out[p, q] += 1
+    out[q, p] += 1
+    return out
+
+
+class TestIncidenceRoute:
+    """The spectra through M^T M against the dense L x L eigensolve they replace."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_atom_gram_spectrum_equals_dense(self, n):
+        H = basis_gram(n).entries
+        result = verification._check_atom_gram_spectrum(n, H, pair_overlaps(n))
+        assert result.passed is True
+        assert repr((result.passed, result.payload["groups"])) \
+            == repr(_dense_h_verdict(n, H))
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_singular_values_equal_dense(self, n):
+        gram = constraint_gram(n)
+        structured = singular_value_verdict(n, gram, pair_overlaps(n))
+        assert structured[0] is True
+        assert repr(structured) == repr(_dense_singular_verdict(n, gram))
+
+    def test_overlaps_default_to_their_own_build(self):
+        gram = constraint_gram(7)
+        assert singular_value_verdict(7, gram) == \
+            singular_value_verdict(7, gram, pair_overlaps(7))
+
+    def test_bumped_atom_gram_fails_with_its_dense_spectrum(self):
+        n = 8
+        H = _bumped(basis_gram(n).entries)
+        result = verification._check_atom_gram_spectrum(n, H, pair_overlaps(n))
+        assert result.passed is False
+        dense = _dense_h_verdict(n, H)
+        assert dense[0] is False
+        assert result.payload["groups"] == dense[1]
+        assert result.payload["groups"] != _dense_h_verdict(n, basis_gram(n).entries)[1]
+
+    def test_bumped_constraint_gram_fails_with_its_dense_spectrum(self):
+        n = 8
+        gram = _bumped(constraint_gram(n))
+        ok, groups = singular_value_verdict(n, gram, pair_overlaps(n))
+        assert ok is False
+        assert (ok, groups) == _dense_singular_verdict(n, gram)
+
+    def test_bumped_atom_gram_fails_the_cli_run(self, monkeypatch, capsys):
+        n = 8
+        bumped = BasisGram(n=n, entries=_bumped(basis_gram(n).entries))
+        monkeypatch.setattr(verification, "basis_gram", lambda n: bumped)
+        assert main(["verify", "--n", str(n)]) == 1
+        out = capsys.readouterr().out
+        line = next(x for x in out.splitlines() if "atom_gram_spectrum" in x)
+        assert line.lstrip().startswith("[FAIL]")
+        groups = _dense_h_verdict(n, bumped.entries)[1]
+        assert line.endswith(f"groups={[list(g) for g in groups]}")
+
+    def test_passing_run_makes_no_pair_sized_eigensolve(self, monkeypatch):
+        n = 12
+
+        def guard(original):
+            def guarded(M, *args, **kwargs):
+                if np.shape(M)[0] > n:
+                    raise AssertionError(f"{np.shape(M)} eigensolve at n={n}")
+                return original(M, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", guard(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", guard(np.linalg.eigh))
+        with pytest.raises(AssertionError):
+            sym_eigvals(basis_gram(n).entries)
+        checks = run_verification(n)
+        assert all(c.passed for c in checks)
+
+
+class TestMemoryRefusal:
+    """Runs whose estimated peak exceeds physical memory are refused up front."""
+
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        monkeypatch.setattr(basis, "physical_memory", lambda: 1 << 20)
+
+    @staticmethod
+    def _forbid(monkeypatch, module, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the memory estimate")
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+
+    def test_verify_refused_before_allocating(self, tiny_memory, monkeypatch):
+        self._forbid(monkeypatch, verification, "basis_gram", "pair_overlaps",
+                     "constraint_matrix")
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            run_verification(40)
+
+    def test_verify_cli_exits_2(self, tiny_memory, capsys):
+        assert main(["verify", "--n", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "physical memory" in captured.err
+
+    def test_nearness_cli_exits_2_before_allocating(self, tiny_memory, monkeypatch,
+                                                    capsys):
+        self._forbid(monkeypatch, cli, "constraint_matrix", "basis_gram")
+        assert main(["nearness", "--n", "40"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_estimate_at_the_boundary(self, monkeypatch):
+        n = 10
+        need = VERIFY_PEAK_ARRAYS * num_pairs(n) ** 2 * 8
+        monkeypatch.setattr(basis, "physical_memory", lambda: need)
+        require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
+        monkeypatch.setattr(basis, "physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceLimitError):
+            require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
+
+    def test_n200_is_refused_on_an_8_gb_host(self, monkeypatch):
+        # the dense cap admits n = 200 (19900 pairs); its estimated peak
+        # does not fit in 8.2 GB, which is never allocated here
+        monkeypatch.setattr(basis, "physical_memory", lambda: 8_200_000_000)
+        with pytest.raises(ResourceLimitError):
+            require_dense_memory(200, VERIFY_PEAK_ARRAYS, "verify")
+        require_dense_memory(120, VERIFY_PEAK_ARRAYS, "verify")
+        require_dense_memory(120, NEARNESS_PEAK_ARRAYS, "nearness")
+
+    def test_unknown_memory_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(basis, "physical_memory", lambda: None)
+        require_dense_memory(200, VERIFY_PEAK_ARRAYS, "verify")
+
+    def test_physical_memory_is_read(self):
+        have = basis.physical_memory()
+        assert have is None or have > 0
