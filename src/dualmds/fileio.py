@@ -8,7 +8,9 @@ is lossless.
 
 from __future__ import annotations
 
+import mmap
 import os
+import warnings
 
 import numpy as np
 
@@ -26,8 +28,8 @@ def write_matrix_csv(path: str | os.PathLike, M: np.ndarray) -> None:
     """Write a matrix as headerless CSV with round-trip precision."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", encoding="ascii") as fh:
-        for row in M:
-            fh.write(",".join(format_float(v) for v in row))
+        for row in M.tolist():
+            fh.write(",".join(map(repr, row)))
             fh.write("\n")
 
 
@@ -40,23 +42,90 @@ def read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
     converted exactly as ``float()`` converts it, so a file written by
     :func:`write_matrix_csv` reads back bit for bit.
 
-    The whole file is parsed by numpy's C reader.  Anything that reader
-    rejects is read again line by line, which either accepts it (``1_0``,
-    say, as ``float()`` does) or raises a ParseError naming the line.
+    The file is read once and its lines are parsed by numpy's C reader,
+    split into contiguous chunks across the CPUs in the process's
+    affinity: this process parses the first chunk and a forked child
+    each of the others, into one shared buffer.  The values and errors
+    are identical to a serial read.  On one CPU, or where ``os.fork`` or
+    ``os.sched_getaffinity`` does not exist, the read is serial.
+    Anything the C reader rejects in any chunk is read again line by
+    line, which either accepts it (``1_0``, say, as ``float()`` does) or
+    raises a ParseError naming the line.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             # numpy would read a whitespace-only line as a row, and would
             # only warn about a file of nothing else; the line reader
             # reports such a file.
-            if not all(line.isspace() for line in fh):
-                fh.seek(0)
-                return np.loadtxt((line for line in fh if not line.isspace()),
-                                  delimiter=",", comments=None, ndmin=2,
-                                  dtype=float)
+            lines = [line for line in fh if not line.isspace()]
+        if lines:
+            return _parse_lines(lines)
     except (OSError, ValueError):
         pass
     return _read_by_lines(path)
+
+
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+
+
+def _parse_lines(lines: list[str]) -> np.ndarray:
+    """Parse non-blank CSV lines, in forked children where CPUs allow.
+
+    Raises ValueError when any chunk fails to parse or the chunks differ
+    in width, and OSError when a fork or the shared buffer fails; the
+    caller then reads the file line by line.
+    """
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = min(len(os.sched_getaffinity(0)), len(lines))
+    if k == 1:
+        return _loadtxt(lines)
+    n = len(lines)
+    width = lines[0].count(",") + 1
+    cuts = [n * j // k for j in range(k + 1)]
+    head = cuts[1]
+    parent = os.getpid()
+    pids = []
+    with mmap.mmap(-1, (n - head) * width * 8) as shared:
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when forking with live BLAS threads;
+                # the children run no BLAS code.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                for lo, hi in zip(cuts[1:], cuts[2:]):
+                    pid = os.fork()
+                    if pid == 0:
+                        os._exit(_fill(lines[lo:hi], shared, (lo - head) * width, width))
+                    pids.append(pid)
+            out = np.empty((n, width))
+            out[:head] = _loadtxt(lines[:head])
+        finally:
+            # A child reaches this only by an exception; it must never
+            # return into the caller's frames.
+            if os.getpid() != parent:
+                os._exit(1)
+            failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise ValueError(f"{len(failed)} of {len(pids)} chunk readers failed")
+        out[head:] = np.frombuffer(shared, dtype=float).reshape(n - head, width)
+    return out
+
+
+def _fill(lines: list[str], shared: mmap.mmap, start: int, width: int) -> int:
+    """Parse a chunk into ``shared`` from float ``start`` on; the exit status.
+
+    Runs in a forked child: 0 when its rows parsed to the expected width,
+    1 otherwise.  A warning is a failure, so the child writes nothing to
+    stderr.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _loadtxt(lines)
+    if rows.shape != (len(lines), width):
+        return 1
+    np.frombuffer(shared, dtype=float, count=rows.size, offset=8 * start)[:] = rows.ravel()
+    return 0
 
 
 def _read_by_lines(path: str | os.PathLike) -> np.ndarray:

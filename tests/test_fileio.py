@@ -1,5 +1,6 @@
 """Lossless CSV round trips and sparse-triplet export."""
 
+import os
 import warnings
 
 import numpy as np
@@ -90,41 +91,52 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def write_random_bit_patterns(path) -> np.ndarray:
+    """A 100 x 100 file of finite doubles with random bits; its values."""
+    rng = np.random.default_rng(20)
+    raw = rng.integers(0, 2**64, size=12_000, dtype=np.uint64).view(np.float64)
+    values = raw[np.isfinite(raw)][:10_000].reshape(100, 100)
+    path.write_text("".join(",".join(repr(v) for v in row) + "\n"
+                            for row in values.tolist()))
+    return values
+
+
+def write_long_decimal_strings(path) -> list[list[float]]:
+    """A 100 x 10 file of long and boundary decimals; ``float()`` of each."""
+    rng = np.random.default_rng(21)
+    tokens = [
+        "4.9e-324",
+        "2.4703282292062327e-324",
+        "2.4703282292062328e-324",
+        "2.2250738585072011e-308",
+        "2.2250738585072013830902327173324040642192159804623318306e-308",
+        "9007199254740993",
+        "1.00000000000000011102230246251565404236316680908203125",
+        "1.000000000000000111022302462515654042363166809082031251",
+        "1.7976931348623157e308",
+        "-0.0",
+        "0.1000000000000000055511151231257827021181583404541015625",
+    ]
+    for _ in range(989):
+        digits = "".join(rng.choice(list("0123456789"), size=rng.integers(18, 41)))
+        sign = rng.choice(["", "-", "+"])
+        tokens.append(f"{sign}{digits[0]}.{digits[1:]}e{rng.integers(-330, 300)}")
+    rows = [tokens[k:k + 10] for k in range(0, len(tokens), 10)]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return [[float(tok) for tok in row] for row in rows]
+
+
 class TestReaderAgreesWithFloat:
     """Every value reads exactly as ``float()`` converts its text."""
 
     def test_random_bit_patterns(self, tmp_path):
-        rng = np.random.default_rng(20)
-        raw = rng.integers(0, 2**64, size=12_000, dtype=np.uint64).view(np.float64)
-        values = raw[np.isfinite(raw)][:10_000].reshape(100, 100)
         path = tmp_path / "m.csv"
-        path.write_text("".join(",".join(repr(v) for v in row) + "\n"
-                                for row in values.tolist()))
+        values = write_random_bit_patterns(path)
         assert np.array_equal(bits(read_matrix_csv(path)), bits(values))
 
     def test_long_decimal_strings(self, tmp_path):
-        rng = np.random.default_rng(21)
-        tokens = [
-            "4.9e-324",
-            "2.4703282292062327e-324",
-            "2.4703282292062328e-324",
-            "2.2250738585072011e-308",
-            "2.2250738585072013830902327173324040642192159804623318306e-308",
-            "9007199254740993",
-            "1.00000000000000011102230246251565404236316680908203125",
-            "1.000000000000000111022302462515654042363166809082031251",
-            "1.7976931348623157e308",
-            "-0.0",
-            "0.1000000000000000055511151231257827021181583404541015625",
-        ]
-        for _ in range(989):
-            digits = "".join(rng.choice(list("0123456789"), size=rng.integers(18, 41)))
-            sign = rng.choice(["", "-", "+"])
-            tokens.append(f"{sign}{digits[0]}.{digits[1:]}e{rng.integers(-330, 300)}")
-        rows = [tokens[k:k + 10] for k in range(0, len(tokens), 10)]
         path = tmp_path / "long.csv"
-        path.write_text("".join(",".join(row) + "\n" for row in rows))
-        expected = [[float(tok) for tok in row] for row in rows]
+        expected = write_long_decimal_strings(path)
         assert np.array_equal(bits(read_matrix_csv(path)), bits(expected))
 
 
@@ -200,6 +212,153 @@ class TestReaderFormat:
         path.write_bytes(b"0,1\n\n1,\xe90\n")
         with pytest.raises(ParseError, match=r"latin\.csv:3: non-ASCII byte 0xe9"):
             read_matrix_csv(path)
+
+
+def read_and_reap(path) -> np.ndarray:
+    """read_matrix_csv, then check that no child process outlived it."""
+    try:
+        return read_matrix_csv(path)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def serial_error(path, monkeypatch) -> str:
+    """The ParseError text of a read on one CPU."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(ParseError) as serial:
+            read_matrix_csv(path)
+    return str(serial.value)
+
+
+@pytest.fixture(params=[2, 3])
+def cpus(request, monkeypatch):
+    """Pretend the process may run on 2 or 3 CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains one entry per os.fork call made in the parent."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+class TestChunkedReader:
+    """A read split across forked children matches a serial read exactly."""
+
+    def test_random_bit_patterns(self, tmp_path, cpus, forks):
+        path = tmp_path / "m.csv"
+        values = write_random_bit_patterns(path)
+        assert np.array_equal(bits(read_and_reap(path)), bits(values))
+        assert len(forks) == cpus - 1
+
+    def test_long_decimal_strings(self, tmp_path, cpus):
+        path = tmp_path / "long.csv"
+        expected = write_long_decimal_strings(path)
+        assert np.array_equal(bits(read_and_reap(path)), bits(expected))
+
+    def test_bad_token_in_last_chunk(self, tmp_path, cpus, monkeypatch):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n\n3,4\n5,6\n7,8\n9,1\n2,x\n")
+        with pytest.raises(ParseError) as chunked:
+            read_and_reap(path)
+        assert str(chunked.value) == serial_error(path, monkeypatch)
+        assert str(chunked.value) == (f"{path}:7: could not convert string "
+                                      "to float: 'x'")
+
+    def test_bad_token_in_first_chunk(self, tmp_path, cpus, monkeypatch):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,y\n3,4\n5,6\n7,8\n9,1\n2,3\n")
+        with pytest.raises(ParseError) as chunked:
+            read_and_reap(path)
+        assert str(chunked.value) == serial_error(path, monkeypatch)
+        assert str(chunked.value).startswith(f"{path}:1: ")
+
+    @pytest.mark.parametrize("first, rest", [("1,2\n", "7,8,9\n"), ("7,8,9\n", "1,2\n")])
+    def test_chunks_of_different_widths(self, tmp_path, cpus, monkeypatch, first, rest):
+        # Each chunk is rectangular on its own; only the whole is ragged.
+        path = tmp_path / "ragged.csv"
+        head = 6 // cpus
+        path.write_text(first * head + rest * (6 - head))
+        with pytest.raises(ParseError) as chunked:
+            read_and_reap(path)
+        assert str(chunked.value) == serial_error(path, monkeypatch)
+        width = first.count(",") + 1
+        assert str(chunked.value) == f"{path}: ragged rows (expected width {width})"
+
+    def test_whitespace_lines_and_crlf_at_a_cut(self, tmp_path, cpus):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\r\n \r\n3,4\r\n\t\r\n\r\n5,6\r\n  \r\n7,8\r\n"
+                         b"\r\n9,10\r\n11,12\r\n\r\n")
+        np.testing.assert_array_equal(read_and_reap(path),
+                                      np.arange(1.0, 13.0).reshape(6, 2))
+
+    @pytest.mark.parametrize("text, rows", [("1.5\n", 1), ("\n1.5,2\n\n3,4\n", 2)])
+    def test_fewer_lines_than_cpus(self, tmp_path, monkeypatch, forks, text, rows):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert read_and_reap(path).shape == (rows, text.split()[0].count(",") + 1)
+        assert len(forks) == rows - 1
+
+    def test_one_cpu_reads_serially_without_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(lines, **kwargs):
+            calls.append(list(lines))
+            return loadtxt(calls[-1], **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n\n3,4\n5,6\n")
+        np.testing.assert_array_equal(read_and_reap(path), [[1, 2], [3, 4], [5, 6]])
+        assert calls == [["1,2\n", "3,4\n", "5,6\n"]]
+
+    def test_no_fork_function_reads_serially(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        np.testing.assert_array_equal(read_and_reap(path), [[1, 2], [3, 4]])
+
+    def test_failed_child_falls_back_to_line_reader(self, tmp_path, cpus, monkeypatch):
+        path = tmp_path / "m.csv"
+        values = write_random_bit_patterns(path)
+        tail = path.read_text().splitlines(keepends=True)[-1]
+        loadtxt = np.loadtxt
+
+        def fail_on_tail(lines, **kwargs):
+            if lines[-1] == tail:
+                raise ValueError("tail chunk")
+            return loadtxt(lines, **kwargs)
+
+        fallbacks = []
+        read_by_lines = fileio._read_by_lines
+
+        def counting_read_by_lines(p):
+            fallbacks.append(p)
+            return read_by_lines(p)
+
+        monkeypatch.setattr(np, "loadtxt", fail_on_tail)
+        monkeypatch.setattr(fileio, "_read_by_lines", counting_read_by_lines)
+        assert np.array_equal(bits(read_and_reap(path)), bits(values))
+        assert fallbacks == [path]
 
 
 class TestTriplets:

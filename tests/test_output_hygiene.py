@@ -6,12 +6,14 @@ stdout line is its JSON result.  Output that escapes the redirection (a
 stream bound at import, a logging handler, a thread or a child process
 writing to the file descriptors) would land after that line, and the run
 would measure nothing.  Each workload's argv runs here the same way, with
-fds 1 and 2 captured underneath.
+fds 1 and 2 captured underneath.  The CSV reader forks children in the
+benchmark's own process; none of them may outlive the operation.
 """
 
 import contextlib
 import importlib.util
 import io
+import os
 import threading
 from pathlib import Path
 
@@ -46,3 +48,5 @@ def test_workload_writes_only_to_redirected_streams(name, tmp_path, capfd):
     assert err.getvalue() == ""
     assert capfd.readouterr() == ("", "")
     assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
