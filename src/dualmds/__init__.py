@@ -9,7 +9,6 @@ noise, and the triangle-inequality constraint matrix whose Gram matrix
 is an exact integer complement of the atom Gram.
 """
 
-from ._kernels import BACKEND_ENV_VAR, HAS_NUMBA, active_backend
 from .basis import (
     BasisAtom,
     BasisGram,
@@ -75,7 +74,6 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BasisAtom",
     "BasisGram",
     "CenteringMatrix",
@@ -86,7 +84,6 @@ __all__ = [
     "DualAtom",
     "EmbeddingResult",
     "GramMatrix",
-    "HAS_NUMBA",
     "NOISE_BOUND",
     "NoiseMatrix",
     "NonEuclideanError",
@@ -98,7 +95,6 @@ __all__ = [
     "SquaredDistanceMatrix",
     "StabilityReport",
     "TripleConstraint",
-    "active_backend",
     "amplification_factor",
     "attained_amplification",
     "basis_atom",

@@ -6,11 +6,11 @@ to coordinates), ``verify`` (closed-form check suite), ``noise``
 checks), ``basis`` (print the small objects for inspection).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 domain error
-(invalid parameters, non-Euclidean input, resource caps), 3 parse or
-I/O error, 4 internal error (any other exception, reported on one
-stderr line and never as a failed check).  Reports print to stdout as
-text by default or as JSON with ``--format json``; JSON output is
-byte-identical across reruns with the same seed.
+(invalid parameters, non-Euclidean input, resource caps, memory
+exhausted), 3 parse or I/O error, 4 internal error (any other
+exception, reported on one stderr line and never as a failed check).
+Reports print to stdout as text by default or as JSON with ``--format
+json``; JSON output is byte-identical across reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -294,6 +294,10 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,14 +78,13 @@ def double_center(D: SquaredDistanceMatrix) -> GramMatrix:
     return GramMatrix(-0.5 * (J @ D.entries @ J))
 
 
-def expand_coefficients(coeffs, n: int, backend: str | None = None) -> np.ndarray:
+def expand_coefficients(coeffs, n: int) -> np.ndarray:
     """Weighted sum of all dual atoms: sum over pairs of coeffs[k] * v_k.
 
     ``coeffs`` holds one weight per vertex pair in canonical order.  The
     weights may be negative (they are not distances here), so the result
     is returned as a raw array; wrap it in a type when the context
-    guarantees more.  The accumulation runs on the selected kernel
-    backend.
+    guarantees more.
     """
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     L = num_pairs(n)
@@ -93,17 +92,17 @@ def expand_coefficients(coeffs, n: int, backend: str | None = None) -> np.ndarra
         raise DomainError(f"expected {L} coefficients for n={n}, got {coeffs.shape}")
     rows, cols = pair_arrays(n)
     J = centering_matrix(n).entries
-    return expand_kernel(coeffs, rows, cols, J, backend=backend)
+    return expand_kernel(coeffs, rows, cols, J)
 
 
-def dual_expansion(D: SquaredDistanceMatrix, backend: str | None = None) -> GramMatrix:
+def dual_expansion(D: SquaredDistanceMatrix) -> GramMatrix:
     """Gram matrix built by summing dual atoms weighted by squared distances.
 
     Independent of :func:`double_center` -- no centering projection is
     applied to D; the centering enters only through the atoms' factors.
     The two routes agree to roundoff on every valid input.
     """
-    X = expand_coefficients(D.upper_entries(), D.n, backend=backend)
+    X = expand_coefficients(D.upper_entries(), D.n)
     return GramMatrix(X)
 
 
@@ -130,14 +129,22 @@ def _euclidean(vals: np.ndarray, tol: float) -> bool:
     return not vals[-1] < -tol * max(1.0, float(vals[0]))
 
 
+def _require_tolerance(tol: float) -> None:
+    # NaN fails every comparison, so it would pass the test and count no rank
+    if not 0.0 <= tol < float("inf"):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def is_euclidean(D: SquaredDistanceMatrix, tol: float = DEFAULT_RANK_TOL
                  ) -> tuple[bool, float]:
     """Whether D is realizable by points in some Euclidean space.
 
     True iff the smallest eigenvalue of the Gram matrix is no smaller
     than -tol * max(1, largest eigenvalue).  Returns the verdict together
-    with that smallest eigenvalue.
+    with that smallest eigenvalue.  A tolerance that is not finite or is
+    negative raises :class:`~dualmds.errors.DomainError`.
     """
+    _require_tolerance(tol)
     vals, _ = sym_eig(double_center(D).entries)
     return _euclidean(vals, tol), float(vals[-1])
 
@@ -154,8 +161,10 @@ def embed(D: SquaredDistanceMatrix, r: int | None = None,
     of :func:`is_euclidean`) raise
     :class:`~dualmds.errors.NonEuclideanError` carrying the offending
     eigenvalue; that verdict on the input comes before the check that
-    ``r`` lies in [0, n - 1].
+    ``r`` lies in [0, n - 1].  A tolerance that is not finite or is
+    negative raises :class:`~dualmds.errors.DomainError` before any of it.
     """
+    _require_tolerance(tol)
     n = D.n
     vals, vecs = sym_eig(double_center(D).entries)
     lam_max = float(vals[0])

@@ -82,8 +82,8 @@ def linear_to_pair(k: int, n: int) -> PairIndex:
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (row, col) index arrays of all pairs in lexicographic order.
 
-    These feed the numeric kernels; public callers should prefer
-    :class:`PairIndex`.
+    They index the upper triangle for the atom expansion and the noise
+    trials; public callers should prefer :class:`PairIndex`.
     """
     rows, cols = np.triu_indices(n, k=1)
     return rows.astype(np.int64), cols.astype(np.int64)

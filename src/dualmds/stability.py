@@ -7,7 +7,7 @@ over all noise patterns of unit sup-norm, both explicit in the
 centering-matrix entries:
 
 * :func:`amplification_factor`, the paper's quantity, is an upper bound;
-  it stays strictly below 4 at every size;
+  it is (7n^2 - 21n + 16) / (2n^2), below 7/2;
 * :func:`attained_amplification` is the true worst case, which the sign
   pattern :func:`worst_case_noise` reaches; it stays below 2.
 
@@ -25,12 +25,7 @@ import numpy as np
 from ._kernels import amplification_kernel
 from .errors import DomainError
 from .mds import expand_coefficients
-from .pairspace import (
-    GramMatrix,
-    SquaredDistanceMatrix,
-    centering_matrix,
-    pair_arrays,
-)
+from .pairspace import GramMatrix, SquaredDistanceMatrix, pair_arrays
 
 NOISE_BOUND = 4.0
 
@@ -74,7 +69,7 @@ class StabilityReport:
     ‖distance noise‖_sup among the random trials; it can never exceed
     ``attained``, the true worst case for this n, which the adversarial
     trial reaches as ``adversarial_ratio``.  ``factor`` is the paper's
-    upper bound on that worst case, in turn strictly below ``bound``.
+    upper bound on that worst case, below 7/2 and so below ``bound``.
     """
 
     n: int
@@ -87,18 +82,19 @@ class StabilityReport:
     passed: bool
 
 
-def amplification_factor(n: int, backend: str | None = None) -> float:
+def amplification_factor(n: int) -> float:
     """The paper's upper bound on the sup-norm amplification at size n.
 
     The maximum over all matrix positions (a, b) of the sum, over vertex
-    pairs i < j, of |J[a,i] * J[j,b]| with J the centering matrix.
-    Always at least ((n-1)/n)^2 and strictly below 4.  It bounds
-    :func:`attained_amplification` from above and equals it only at n=2.
+    pairs i < j, of |J[a,i] * J[j,b]| with J the centering matrix, which
+    is (7n^2 - 21n + 16) / (2n^2), correctly rounded (derived in
+    :func:`~dualmds._kernels.amplification_kernel`).  It is below 7/2.
+    It bounds :func:`attained_amplification` from above and equals it
+    only at n=2.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
-    J = centering_matrix(n).entries
-    return amplification_kernel(J, backend=backend)
+    return amplification_kernel(n)
 
 
 def attained_amplification(n: int) -> float:
@@ -151,8 +147,7 @@ def gram_perturbation(noise: NoiseMatrix) -> np.ndarray:
     return -0.5 * (E - m[:, None] - m[None, :] + m.mean())
 
 
-def perturbed_gram(D: SquaredDistanceMatrix, noise: NoiseMatrix,
-                   backend: str | None = None) -> GramMatrix:
+def perturbed_gram(D: SquaredDistanceMatrix, noise: NoiseMatrix) -> GramMatrix:
     """Gram matrix of the noisy distances D + noise, via the atom expansion.
 
     The expansion is linear, so the result differs from the clean Gram
@@ -162,11 +157,11 @@ def perturbed_gram(D: SquaredDistanceMatrix, noise: NoiseMatrix,
         raise DomainError(f"noise is {noise.n}x{noise.n}, distances are {D.n}x{D.n}")
     rows, cols = pair_arrays(D.n)
     noisy_upper = D.entries[rows, cols] + noise.entries[rows, cols]
-    return GramMatrix(expand_coefficients(noisy_upper, D.n, backend=backend))
+    return GramMatrix(expand_coefficients(noisy_upper, D.n))
 
 
 def noise_experiment(n: int, r: int, epsilon: float, trials: int,
-                     seed: int, backend: str | None = None) -> StabilityReport:
+                     seed: int) -> StabilityReport:
     """Seeded random noise trials and one adversarial trial against the bounds.
 
     Each random trial draws a standard-normal configuration of n points
@@ -187,9 +182,14 @@ def noise_experiment(n: int, r: int, epsilon: float, trials: int,
     # 4*epsilon; both must stay finite
     if not math.isfinite(max(n, 4) * epsilon):
         raise DomainError(f"noise level {epsilon} is too large for n={n}")
+    # subnormal entries are spaced 2^-1074 apart, more than 2^-52 epsilon,
+    # so the ratio drifts (by 100% at 5e-324)
+    tiny = np.finfo(float).tiny
+    if epsilon < tiny:
+        raise DomainError(f"noise level {epsilon} is subnormal; need at least {tiny}")
     if not 1 <= r < n:
         raise DomainError(f"need n > r >= 1, got n={n}, r={r}")
-    factor = amplification_factor(n, backend=backend)
+    factor = amplification_factor(n)
     attained = attained_amplification(n)
     rows, cols = pair_arrays(n)
     max_ratio = 0.0

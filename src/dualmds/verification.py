@@ -216,13 +216,11 @@ def _random_configurations(n: int, rng: np.random.Generator):
         yield PointConfiguration(rng.standard_normal((n, r)))
 
 
-def _check_expansion_equivalence(n: int, rng: np.random.Generator,
-                                 backend: str | None) -> CheckResult:
+def _check_expansion_equivalence(n: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for P in _random_configurations(n, rng):
         D = squared_distances(P)
-        gap = np.max(np.abs(dual_expansion(D, backend=backend).entries
-                            - double_center(D).entries))
+        gap = np.max(np.abs(dual_expansion(D).entries - double_center(D).entries))
         scale = max(1.0, float(np.max(np.abs(D.entries))))
         worst = max(worst, float(gap) / scale)
     return CheckResult("expansion_equivalence", worst <= EXPANSION_TOL,
@@ -254,8 +252,7 @@ def _check_constraint_singular_values(n: int, gram: np.ndarray,
     return CheckResult("constraint_singular_values", ok, {"groups": groups})
 
 
-def run_verification(n: int, seed: int = 0,
-                     backend: str | None = None) -> list[CheckResult]:
+def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     """Run every check at size n; the golden-object check joins at n = 4.
 
     The run is refused up front when its estimated peak memory exceeds
@@ -277,7 +274,7 @@ def run_verification(n: int, seed: int = 0,
     checks.append(_check_biorthogonality(n))
     checks.append(_check_dual_atom_spectra(n, rng))
     checks.append(_check_dual_gram_inverse(n, H, overlaps))
-    checks.append(_check_expansion_equivalence(n, rng, backend))
+    checks.append(_check_expansion_equivalence(n, rng))
     checks.append(_check_embedding_round_trip(n, rng))
     A = constraint_matrix(n)
     if n == _reference.REFERENCE_N:

@@ -37,7 +37,6 @@ from dualmds import (
     sym_eig,
     triangular_graph_adjacency,
 )
-from dualmds._kernels import warm_up
 
 import oracles
 
@@ -177,7 +176,6 @@ def test_criterion_07_embedding_round_trip():
 
 
 def test_criterion_08_noise_amplification_bound():
-    warm_up()
     started = time.perf_counter()
     for n in range(2, 201):
         assert amplification_factor(n) < 4.0, f"n={n}"

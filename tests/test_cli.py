@@ -154,6 +154,15 @@ class TestEmbed:
         assert doc["checks"][1]["payload"]["detected_rank"] == 2
         assert doc["parameters"]["r"] == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exit_2(self, tol, tmp_path, capsys):
+        dist = square_distances_csv(tmp_path)
+        assert main(["embed", str(dist), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tolerance must be finite and nonnegative, "
+                                f"got {float(tol)}\n")
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["embed", str(tmp_path / "absent.csv")]) == 3
         assert "error:" in capsys.readouterr().err
@@ -204,7 +213,7 @@ class TestVerify:
 
         monkeypatch.setattr(
             cli_module, "run_verification",
-            lambda n, seed=0, backend=None: [CheckResult("forced", False, {})],
+            lambda n, seed=0: [CheckResult("forced", False, {})],
         )
         assert main(["verify", "--n", "4"]) == 1
         assert "[FAIL] forced" in capsys.readouterr().out
@@ -228,7 +237,7 @@ class TestVerify:
 
         monkeypatch.setattr(
             cli_module, "run_verification",
-            lambda n, seed=0, backend=None: [
+            lambda n, seed=0: [
                 CheckResult("numpy_flag", np.bool_(True), {"ok": np.bool_(True)})
             ],
         )
@@ -240,7 +249,7 @@ class TestVerify:
     def test_internal_error_exit_4(self, monkeypatch, capsys):
         from dualmds import cli as cli_module
 
-        def broken(n, seed=0, backend=None):
+        def broken(n, seed=0):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_module, "run_verification", broken)
@@ -248,6 +257,24 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 74.5 GiB"),
+         "error: out of memory: Unable to allocate 74.5 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_memory_error_exit_2(self, exc, line, monkeypatch, capsys):
+        from dualmds import cli as cli_module
+
+        def exhausted(n, seed=0):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run_verification", exhausted)
+        assert main(["verify", "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
 
 
 class TestNoise:
@@ -296,6 +323,16 @@ class TestNoise:
         assert captured.out == ""
         assert captured.err.startswith("error: noise level ")
         assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-315"])
+    def test_subnormal_epsilon_exit_2(self, epsilon, capsys):
+        # 5e-324 used to print a false [FAIL] with max_observed_ratio=1.0
+        assert main(["noise", "--n", "3", "--r", "1", "--trials", "2",
+                     "--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: noise level {float(epsilon)} is subnormal")
+        assert captured.err.count("\n") == 1
 
 
 class TestNearness:

@@ -1,4 +1,4 @@
-"""Backend selection and numba/numpy kernel agreement."""
+"""The atom-sum expansion and the closed-form amplification bound, against oracles."""
 
 from fractions import Fraction
 
@@ -6,67 +6,22 @@ import numpy as np
 import pytest
 
 from dualmds import amplification_factor, centering_matrix, expand_coefficients, num_pairs
-from dualmds._kernels import BACKEND_ENV_VAR, HAS_NUMBA, active_backend
 from dualmds.errors import DomainError
 
 import oracles
 
-BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-
-
-class TestBackendSelection:
-    def test_auto_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert active_backend() == ("numba" if HAS_NUMBA else "numpy")
-
-    def test_env_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not importable")
-    def test_env_forces_numba(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        assert active_backend() == "numba"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert active_backend("numpy") == "numpy"
-
-    def test_unknown_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(DomainError):
-            active_backend()
-
-    def test_case_and_whitespace_tolerated(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "  NumPy ")
-        assert active_backend() == "numpy"
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not importable")
-class TestBackendAgreement:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16])
-    def test_expansion_matches_across_backends(self, n):
-        rng = np.random.default_rng(n)
-        coeffs = rng.standard_normal(num_pairs(n))
-        a = expand_coefficients(coeffs, n, backend="numba")
-        b = expand_coefficients(coeffs, n, backend="numpy")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        assert np.max(np.abs(a - b)) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 60])
-    def test_amplification_matches_across_backends(self, n):
-        a = amplification_factor(n, backend="numba")
-        b = amplification_factor(n, backend="numpy")
-        assert a == pytest.approx(b, rel=1e-12)
-
 
 class TestAgainstEnumeration:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_amplification_equals_pair_enumeration(self, n, backend):
-        fast = amplification_factor(n, backend=backend)
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_amplification_equals_pair_enumeration(self, n):
+        fast = amplification_factor(n)
         slow = oracles.amplification_enumerated(n)
-        assert fast == pytest.approx(slow, rel=1e-12)
+        assert fast == pytest.approx(slow, rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_closed_form_is_the_exact_value_rounded(self, n):
+        # one true division of exact integers rounds correctly
+        assert amplification_factor(n) == float(oracles.amplification_exact(n))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_enumeration_swapped_variant_identical(self, n):
@@ -88,20 +43,18 @@ class TestAgainstEnumeration:
         assert oracles.amplification_exact(n) == expected
         assert amplification_factor(n) == pytest.approx(float(expected), rel=1e-13)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dyadic_sizes_are_exact(self, backend):
-        # centering entries at powers of two are dyadic, so no rounding occurs
-        assert amplification_factor(4, backend=backend) == 11 / 8
-        assert amplification_factor(8, backend=backend) == 37 / 16
-        assert amplification_factor(16, backend=backend) == 23 / 8
+    def test_dyadic_sizes_are_exact(self):
+        # the bound is dyadic at powers of two, so no rounding occurs
+        assert amplification_factor(4) == 11 / 8
+        assert amplification_factor(8) == 37 / 16
+        assert amplification_factor(16) == 23 / 8
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_expansion_matches_atom_accumulation(backend):
+def test_expansion_matches_atom_accumulation():
     rng = np.random.default_rng(99)
     for n in (3, 5, 8):
         coeffs = rng.standard_normal(num_pairs(n))
-        by_kernel = expand_coefficients(coeffs, n, backend=backend)
+        by_kernel = expand_coefficients(coeffs, n)
         by_atoms = np.zeros((n, n))
         for c, (i, j) in zip(coeffs, oracles.lex_pairs(n)):
             by_atoms += c * oracles.dual_matrix(i, j, n)
@@ -114,8 +67,8 @@ def test_expansion_rejects_wrong_length():
 
 
 def test_centering_feeds_kernels_consistently():
-    # the amplification input is |J|; sanity-check one hand value at n=2:
-    # all |J| entries are 1/2, the single pair contributes (1/2)*(1/2)
+    # one hand value of the bound over |J| at n=2: all |J| entries are
+    # 1/2, and the single pair contributes (1/2)*(1/2)
     J = centering_matrix(2).entries
     assert np.max(np.abs(np.abs(J) - 0.5)) == 0.0
     assert amplification_factor(2) == 0.25

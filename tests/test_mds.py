@@ -187,6 +187,24 @@ class TestIsEuclidean:
         _, lam_min = is_euclidean(D)
         assert is_euclidean(D, tol=2 * abs(lam_min))[0]
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_invalid_tolerance_rejected_before_centering(self, tol, monkeypatch):
+        from dualmds import mds
+
+        def refuse(D):
+            raise AssertionError("decomposed despite an invalid tolerance")
+
+        monkeypatch.setattr(mds, "double_center", refuse)
+        D = squared_distances(PointConfiguration(UNIT_SQUARE))
+        with pytest.raises(DomainError, match="tolerance"):
+            is_euclidean(D, tol=tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            embed(D, tol=tol)
+
+    def test_zero_tolerance_allowed(self):
+        D = SquaredDistanceMatrix(IMPOSSIBLE_D2)
+        assert is_euclidean(D, tol=0.0) == is_euclidean(D)
+
 
 class TestEmbed:
     def test_unit_square_geometry(self):

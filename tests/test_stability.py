@@ -19,7 +19,7 @@ from dualmds import (
     squared_distances,
     worst_case_noise,
 )
-from dualmds import mds
+from dualmds import mds, pairspace
 from dualmds.stability import gram_perturbation
 from dualmds.errors import DomainError
 
@@ -77,7 +77,8 @@ class TestNoiseMatrix:
 class TestAmplificationFactor:
     @pytest.mark.parametrize("n,exact", sorted(EXACT_FACTORS.items()))
     def test_frozen_values(self, n, exact):
-        assert amplification_factor(n) == pytest.approx(float(exact), rel=1e-12)
+        assert Fraction(7 * n * n - 21 * n + 16, 2 * n * n) == exact
+        assert amplification_factor(n) == float(exact)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_dyadic_sizes_exact(self, n):
@@ -85,22 +86,20 @@ class TestAmplificationFactor:
         assert amplification_factor(n) == float(EXACT_FACTORS[n])
 
     def test_stays_below_bound(self):
-        for n in range(2, 121):
-            assert amplification_factor(n) < NOISE_BOUND
+        for n in range(2, 401):
+            assert amplification_factor(n) < 3.5 < NOISE_BOUND, f"n={n}"
+
+    def test_builds_nothing_n_by_n(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"centering matrix built at n={n}")
+
+        monkeypatch.setattr(pairspace, "centering_matrix", refuse)
+        monkeypatch.setattr(mds, "centering_matrix", refuse)
+        assert 3.5 - 2e-5 < amplification_factor(10**6) < 3.5
 
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
             amplification_factor(1)
-
-    def test_backends_agree(self):
-        from dualmds._kernels import HAS_NUMBA
-
-        if not HAS_NUMBA:
-            pytest.skip("numba backend unavailable")
-        for n in (3, 9, 40):
-            assert amplification_factor(n, backend="numpy") == pytest.approx(
-                amplification_factor(n, backend="numba"), rel=1e-13
-            )
 
 
 class TestAttainedAmplification:
@@ -248,6 +247,19 @@ class TestNoiseExperiment:
         # 4 * 1e307 is finite, but 64 such entries in one row are not
         with pytest.raises(DomainError):
             noise_experiment(n=64, r=2, epsilon=1e307, trials=1, seed=0)
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-315])
+    def test_rejects_subnormal_noise_level(self, epsilon):
+        # at 5e-324 every entry is 0 or +-epsilon: the ratio was off by 100%
+        with pytest.raises(DomainError, match="subnormal"):
+            noise_experiment(n=3, r=1, epsilon=epsilon, trials=2, seed=0)
+
+    def test_smallest_admissible_noise_level(self):
+        tiny = noise_experiment(n=64, r=2, epsilon=np.finfo(float).tiny,
+                                trials=20, seed=0)
+        usual = noise_experiment(n=64, r=2, epsilon=0.01, trials=20, seed=0)
+        assert tiny.passed
+        assert tiny.max_ratio == pytest.approx(usual.max_ratio, rel=1e-12)
 
     def test_largest_admissible_noise_level(self):
         report = noise_experiment(n=64, r=2, epsilon=np.finfo(float).max / 64,
