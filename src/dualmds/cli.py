@@ -26,7 +26,7 @@ from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix, integer
                     require_dense_memory)
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import format_float, read_matrix_csv, write_matrix_csv, write_triplets
-from .mds import embed, squared_distances
+from .mds import CERTIFIED_MIN_N, embed, squared_distances
 from .nearness import NEARNESS_PEAK_ARRAYS, constraint_matrix, singular_value_verdict
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
 from .report import CheckResult, RunReport
@@ -65,6 +65,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _dense_euclidean_payload(n: int, lambda_min: float) -> dict:
+    """The dense route's Euclidean payload; it names the route where embed has two."""
+    payload = {"lambda_min": lambda_min}
+    return {"route": "dense", **payload} if n >= CERTIFIED_MIN_N else payload
+
+
 def cmd_embed(args) -> int:
     started = time.perf_counter()
     try:
@@ -77,20 +83,29 @@ def cmd_embed(args) -> int:
     try:
         result = embed(D, r=args.r, tol=args.tol)
     except NonEuclideanError as exc:
-        checks = [CheckResult("euclidean", False, {"lambda_min": exc.lambda_min})]
+        payload = _dense_euclidean_payload(D.n, exc.lambda_min)
+        checks = [CheckResult("euclidean", False, payload)]
         report = RunReport("embed", parameters, checks)
         report.duration_s = time.perf_counter() - started
         _emit(report, args.format, None)
         return 2
+    if result.route == "certified":
+        euclidean = {"route": result.route,
+                     "lambda_min_lower_bound": result.lambda_min,
+                     "residual_norm": result.residual_norm}
+        mass_key = "discarded_mass_upper_bound"
+    else:
+        euclidean = _dense_euclidean_payload(D.n, result.lambda_min)
+        mass_key = "discarded_mass"
     checks = [
-        CheckResult("euclidean", True, {"lambda_min": result.lambda_min}),
+        CheckResult("euclidean", True, euclidean),
         CheckResult(
             "embedding",
             True,
             {
                 "detected_rank": result.rank,
                 "retained_eigenvalues": list(result.eigenvalues),
-                "discarded_mass": result.discarded_mass,
+                mass_key: result.discarded_mass,
             },
         ),
     ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import basis_gram, integer_deviation, overlap_spectrum, pair_overlaps
 from .errors import DomainError, ResourceLimitError
-from .pairspace import PairIndex, linear_index, num_pairs
+from .pairspace import PairIndex, linear_index, num_pairs, pair_arrays
 from .spectral import spectrum_verdict, sym_eigvals
 
 DENSE_ENTRY_CAP = 200_000_000
@@ -230,7 +230,7 @@ class DissimilarityMatrix:
         return self.entries.shape[0]
 
     def upper_entries(self) -> np.ndarray:
-        rows, cols = np.triu_indices(self.n, k=1)
+        rows, cols = pair_arrays(self.n)
         return self.entries[rows, cols]
 
 

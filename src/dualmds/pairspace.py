@@ -83,10 +83,16 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (row, col) index arrays of all pairs in lexicographic order.
 
     They index the upper triangle for the atom expansion and the noise
-    trials; public callers should prefer :class:`PairIndex`.
+    trials; public callers should prefer :class:`PairIndex`.  Built in
+    O(L) memory as int64, without the n x n mask of ``np.triu_indices``.
     """
-    rows, cols = np.triu_indices(n, k=1)
-    return rows.astype(np.int64), cols.astype(np.int64)
+    lengths = np.arange(n - 1, 0, -1, dtype=np.int64)
+    rows = np.repeat(np.arange(n - 1, dtype=np.int64), lengths)
+    # columns step by 1 along a row and fall back to i + 1 where row i starts
+    cols = np.ones(num_pairs(n), dtype=np.int64)
+    cols[np.cumsum(lengths)[:-1]] = np.arange(3 - n, 1)
+    np.cumsum(cols, out=cols)
+    return rows, cols
 
 
 def _as_float_matrix(entries, name: str) -> np.ndarray:

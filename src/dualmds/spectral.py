@@ -51,16 +51,19 @@ class SpectrumReport:
         return 0
 
 
-def sym_eig(M: np.ndarray, sym_tol: float = SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(M: np.ndarray, sym_tol: float | None = SYM_TOL
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as columns.  Each eigenvector is
     normalized so its largest-magnitude component is positive (ties
     resolved toward the lowest index), which makes the output a pure
-    function of the input matrix.
+    function of the input matrix.  ``sym_tol=None`` skips the symmetry
+    scan, for a float array the caller built symmetric up to roundoff;
+    LAPACK reads the lower triangle only, so the result is the same.
     """
-    vals, vecs = np.linalg.eigh(_symmetric(M, sym_tol))
+    vals, vecs = np.linalg.eigh(M if sym_tol is None else _symmetric(M, sym_tol))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     _normalize_signs(vecs)

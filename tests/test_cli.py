@@ -9,11 +9,15 @@ import pytest
 
 from dualmds import (
     PointConfiguration,
+    SquaredDistanceMatrix,
     constraint_matrix,
+    is_euclidean,
+    procrustes_residual,
     read_matrix_csv,
     squared_distances,
     write_matrix_csv,
 )
+from dualmds.mds import CERTIFIED_MIN_N
 from dualmds.cli import main
 from dualmds.report import CheckResult
 
@@ -185,6 +189,75 @@ class TestEmbed:
         write_matrix_csv(path, np.array([[0.0, 1.0], [2.0, 0.0]]))
         assert main(["embed", str(path)]) == 3
         assert "not a valid squared-distance matrix" in capsys.readouterr().err
+
+    def test_large_coordinates_embed(self, tmp_path, capsys):
+        # J D J of a valid D at this scale is asymmetric by ~6e-5 in roundoff,
+        # which an absolute 1e-9 re-validation used to reject with exit 2
+        P = PointConfiguration(1e5 * np.random.default_rng(50).standard_normal((50, 2)))
+        dist = tmp_path / "far.csv"
+        out = tmp_path / "points.csv"
+        write_matrix_csv(dist, squared_distances(P).entries)
+        assert main(["embed", str(dist), "--out", str(out), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checks"][1]["payload"]["detected_rank"] == 2
+        recovered = PointConfiguration(read_matrix_csv(out))
+        scale = np.linalg.norm(P.points - P.points.mean(axis=0))
+        assert procrustes_residual(recovered, P) <= 1e-9 * scale
+
+
+def low_rank_csv(tmp_path, n, r, seed):
+    P = PointConfiguration(np.random.default_rng(seed).standard_normal((n, r)))
+    path = tmp_path / "dist.csv"
+    write_matrix_csv(path, squared_distances(P).entries)
+    return path
+
+
+class TestEmbedRoutes:
+    def test_certified_route_reports_bounds(self, tmp_path, capsys):
+        path = low_rank_csv(tmp_path, CERTIFIED_MIN_N, 3, seed=51)
+        assert main(["embed", str(path), "--r", "3", "--format", "json"]) == 0
+        euclidean, embedding = json.loads(capsys.readouterr().out)["checks"]
+        assert list(euclidean["payload"]) == ["route", "lambda_min_lower_bound",
+                                              "residual_norm"]
+        assert euclidean["payload"]["route"] == "certified"
+        s = euclidean["payload"]["residual_norm"]
+        assert 0 < s == -euclidean["payload"]["lambda_min_lower_bound"]
+        assert list(embedding["payload"]) == ["detected_rank", "retained_eigenvalues",
+                                              "discarded_mass_upper_bound"]
+        assert embedding["payload"]["detected_rank"] == 3
+
+    def test_certified_route_in_text(self, tmp_path, capsys):
+        path = low_rank_csv(tmp_path, CERTIFIED_MIN_N, 2, seed=52)
+        assert main(["embed", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "[PASS] euclidean: route=certified; lambda_min_lower_bound=" in text
+        assert "discarded_mass_upper_bound=" in text
+
+    def test_dense_route_is_named_from_the_threshold(self, tmp_path, capsys):
+        path = low_rank_csv(tmp_path, CERTIFIED_MIN_N, 100, seed=53)
+        assert main(["embed", str(path), "--format", "json"]) == 0
+        euclidean, embedding = json.loads(capsys.readouterr().out)["checks"]
+        assert list(euclidean["payload"]) == ["route", "lambda_min"]
+        assert euclidean["payload"]["route"] == "dense"
+        assert embedding["payload"]["detected_rank"] == 100
+        assert "discarded_mass" in embedding["payload"]
+
+    def test_below_threshold_names_no_route(self, tmp_path, capsys):
+        path = low_rank_csv(tmp_path, CERTIFIED_MIN_N - 1, 3, seed=54)
+        assert main(["embed", str(path), "--format", "json"]) == 0
+        euclidean, embedding = json.loads(capsys.readouterr().out)["checks"]
+        assert list(euclidean["payload"]) == ["lambda_min"]
+        assert "discarded_mass" in embedding["payload"]
+
+    def test_non_euclidean_exit_2_from_the_dense_route(self, tmp_path, capsys):
+        path = low_rank_csv(tmp_path, CERTIFIED_MIN_N, 3, seed=55)
+        E = read_matrix_csv(path)
+        E[0, 1] = E[1, 0] = 100.0 * E.max()
+        write_matrix_csv(path, E)
+        assert main(["embed", str(path), "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)["checks"][0]["payload"]
+        assert payload == {"route": "dense",
+                           "lambda_min": is_euclidean(SquaredDistanceMatrix(E))[1]}
 
 
 class TestVerify:

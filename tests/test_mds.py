@@ -18,6 +18,7 @@ from dualmds import (
     procrustes_residual,
     squared_distances,
 )
+from dualmds import mds
 from dualmds.errors import DomainError, NonEuclideanError
 
 import oracles
@@ -379,3 +380,141 @@ class TestProcrustesResidual:
             procrustes_residual(
                 random_points(4, 2, seed=21), random_points(5, 2, seed=21)
             )
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
+    def test_resolves_small_perturbations(self, delta):
+        # the old sqrt(|A|^2 + |B|^2 - 2 |A^T B|_*) cancelled below ~1e-8
+        rng = np.random.default_rng(23)
+        P = random_points(40, 3, seed=23)
+        recovered = embed(squared_distances(P)).points.points
+        A = recovered - recovered.mean(axis=0)
+        Z = rng.standard_normal(A.shape)
+        Z -= Z.mean(axis=0)
+        noisy = A + delta * np.linalg.norm(A) / np.linalg.norm(Z) * Z
+        Q_mat, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        moved = PointConfiguration(noisy @ Q_mat + rng.standard_normal(3))
+        for other in (PointConfiguration(noisy), moved):
+            rel = procrustes_residual(PointConfiguration(recovered), other) / np.linalg.norm(A)
+            assert delta / 2 <= rel <= 2 * delta
+
+
+def low_rank_distances(n, r, seed, scale=1.0):
+    """Squared distances of n seeded standard-normal points in R^r, times scale."""
+    P = random_points(n, r, seed)
+    return P, SquaredDistanceMatrix(scale * squared_distances(P).entries)
+
+
+def prescribed_spectrum(n, eigenvalues, seed):
+    """Squared distances whose Gram matrix has exactly these nonzero eigenvalues.
+
+    The points are orthonormal centered columns scaled by square roots,
+    so the Gram eigenvalues are the given ones up to roundoff.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, len(eigenvalues)))
+    Q, _ = np.linalg.qr(X - X.mean(axis=0))
+    return squared_distances(PointConfiguration(Q * np.sqrt(eigenvalues)))
+
+
+def dense_embed(monkeypatch, D, **kwargs):
+    """embed(D) with the certified route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(mds, "CERTIFIED_MIN_N", D.n + 1)
+        result = embed(D, **kwargs)
+    assert result.route == "dense"
+    return result
+
+
+class TestCertifiedRoute:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_agrees_with_dense_eigendecomposition(self, r, seed, monkeypatch):
+        n = 500 + 20 * r
+        P, D = low_rank_distances(n, r, seed=seed + 10 * r)
+        cert = embed(D)
+        assert cert.route == "certified"
+        assert cert.rank == r
+        s = cert.residual_norm
+        assert cert.lambda_min == -s
+        dense = dense_embed(monkeypatch, D)
+        assert dense.rank == r
+        assert np.all(np.abs(cert.eigenvalues - dense.eigenvalues) <= s)
+        assert dense.lambda_min >= -s
+        assert dense.discarded_mass <= cert.discarded_mass
+        scale = np.linalg.norm(P.points - P.points.mean(axis=0))
+        assert procrustes_residual(cert.points, dense.points) <= 1e-12 * scale
+        # the same sign convention, so no reflection is needed either
+        assert np.max(np.abs(cert.points.points - dense.points.points)) <= 1e-12 * scale
+        assert procrustes_residual(cert.points, P) <= 1e-12 * scale
+        # truncation keeps the discarded-mass bound above the dense sum
+        cut = embed(D, r=1)
+        assert cut.route == "certified"
+        assert dense_embed(monkeypatch, D, r=1).discarded_mass <= cut.discarded_mass
+
+    def test_no_dense_eigensolve_on_certified_input(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on certified input")
+
+        _, D = low_rank_distances(600, 3, seed=40)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(mds, "sym_eig", refuse)
+        result = embed(D, r=3)
+        assert result.route == "certified"
+        assert result.rank == 3
+
+    def test_non_euclidean_input_runs_dense_route(self):
+        _, D = low_rank_distances(500, 3, seed=41)
+        E = D.entries.copy()
+        E[0, 1] = E[1, 0] = 100.0 * E.max()
+        D = SquaredDistanceMatrix(E)
+        assert mds._certified_spectrum(D, mds.DEFAULT_RANK_TOL) is None
+        with pytest.raises(NonEuclideanError) as excinfo:
+            embed(D)
+        assert excinfo.value.lambda_min == is_euclidean(D)[1]
+
+    def test_full_rank_input_reaches_the_pivot_cap(self, monkeypatch):
+        _, D = low_rank_distances(500, 100, seed=42)
+        assert mds._certified_spectrum(D, mds.DEFAULT_RANK_TOL) is None
+        result = embed(D)
+        assert result.route == "dense"
+        assert result.rank == 100
+        # the cap, not the certificate, turned it away
+        monkeypatch.setattr(mds, "CERTIFIED_MAX_PIVOTS", 128)
+        raised = embed(D)
+        assert raised.route == "certified"
+        assert raised.rank == 100
+
+    @pytest.mark.parametrize("ratio, route, rank", [
+        (1.0, "dense", None),
+        (100.0, "certified", 3),
+        (0.01, "certified", 2),
+    ])
+    def test_eigenvalue_at_the_rank_threshold(self, ratio, route, rank):
+        tol = mds.DEFAULT_RANK_TOL
+        D = prescribed_spectrum(500, [1000.0, 500.0, ratio * tol * 1000.0], seed=43)
+        result = embed(D, tol=tol)
+        assert result.route == route
+        if rank is not None:
+            assert result.rank == rank
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_route_and_rank_do_not_depend_on_units(self, c):
+        _, D = low_rank_distances(500, 4, seed=44, scale=c)
+        result = embed(D)
+        assert (result.route, result.rank) == ("certified", 4)
+
+    def test_padding_beyond_detected_rank_warns(self):
+        _, D = low_rank_distances(500, 2, seed=45)
+        with pytest.warns(UserWarning, match="detected rank"):
+            result = embed(D, r=4)
+        assert result.route == "certified"
+        assert result.rank == 2
+        assert result.points.r == 4
+        np.testing.assert_array_equal(result.points.points[:, 2:], 0.0)
+
+    def test_below_threshold_stays_dense(self):
+        _, D = low_rank_distances(mds.CERTIFIED_MIN_N - 1, 3, seed=46)
+        result = embed(D)
+        assert result.route == "dense"
+        assert result.residual_norm is None

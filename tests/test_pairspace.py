@@ -1,5 +1,7 @@
 """Pair indexing and the core matrix value types."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,7 @@ from dualmds import (
     pair_to_linear,
 )
 from dualmds.errors import DomainError
-from dualmds.pairspace import linear_index
+from dualmds.pairspace import linear_index, pair_arrays
 
 import oracles
 
@@ -192,3 +194,23 @@ class TestPointConfiguration:
 def test_centering_matrix_type_validates():
     with pytest.raises(DomainError):
         CenteringMatrix(0)
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_pair_arrays_match_triu_indices(n):
+    rows, cols = pair_arrays(n)
+    expected_rows, expected_cols = np.triu_indices(n, 1)
+    assert rows.dtype == cols.dtype == np.int64
+    np.testing.assert_array_equal(rows, expected_rows)
+    np.testing.assert_array_equal(cols, expected_cols)
+
+
+def test_pair_arrays_allocate_only_their_output():
+    # no n x n mask and no copies: the peak is the two L-long int64 arrays
+    tracemalloc.start()
+    try:
+        rows, cols = pair_arrays(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (rows.nbytes + cols.nbytes)

@@ -19,7 +19,7 @@ from dualmds import (
     squared_distances,
     worst_case_noise,
 )
-from dualmds import mds, pairspace
+from dualmds import mds, pairspace, stability
 from dualmds.stability import gram_perturbation
 from dualmds.errors import DomainError
 
@@ -226,6 +226,28 @@ class TestPerturbedGram:
 
 
 class TestNoiseExperiment:
+    def test_trial_matrices_are_exactly_symmetric_and_hollow(self, monkeypatch):
+        seen = []
+        validated = []
+
+        def record(E):
+            seen.append(E.copy())
+            return mds.center_by_means(E)
+
+        def count(self, original=NoiseMatrix.__post_init__):
+            validated.append(self)
+            original(self)
+
+        monkeypatch.setattr(stability, "center_by_means", record)
+        monkeypatch.setattr(NoiseMatrix, "__post_init__", count)
+        noise_experiment(n=9, r=2, epsilon=0.3, trials=5, seed=4)
+        assert len(seen) == 6  # five trials and the adversarial one
+        for E in seen:
+            np.testing.assert_array_equal(E, E.T)
+            np.testing.assert_array_equal(np.diag(E), 0.0)
+        # only the adversarial pattern is built as a NoiseMatrix
+        assert len(validated) == 1
+
     def test_validation(self):
         with pytest.raises(DomainError):
             noise_experiment(n=4, r=2, epsilon=0.1, trials=0, seed=0)
