@@ -143,19 +143,15 @@ def dual_atom_eigenpairs(alpha: PairIndex) -> tuple[tuple[float, np.ndarray],
     return (0.5, v.a - v.b), (-0.5 + 1.0 / alpha.n, v.a + v.b)
 
 
-def basis_gram(n: int, max_pairs: int = DENSE_PAIR_CAP) -> BasisGram:
+def basis_gram(n: int) -> BasisGram:
     """Dense H for n points: 4 on the diagonal, 1 iff pairs share a vertex.
 
-    Refuses to allocate when the pair count exceeds ``max_pairs``
+    Refuses to allocate when the pair count exceeds ``DENSE_PAIR_CAP``
     (L x L dense storage); use :func:`h_matvec` past that scale.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
-    L = num_pairs(n)
-    if L > max_pairs:
-        raise ResourceLimitError(
-            f"n={n} gives {L} pairs, beyond the dense cap of {max_pairs}"
-        )
+    _require_dense_pairs(n)
     rows, cols = pair_arrays(n)
     share = (
         (rows[:, None] == rows[None, :])
@@ -166,6 +162,14 @@ def basis_gram(n: int, max_pairs: int = DENSE_PAIR_CAP) -> BasisGram:
     H = share.astype(np.float64)
     np.fill_diagonal(H, 4.0)
     return BasisGram(n=n, entries=H)
+
+
+def _require_dense_pairs(n: int) -> None:
+    L = num_pairs(n)
+    if L > DENSE_PAIR_CAP:
+        raise ResourceLimitError(
+            f"n={n} gives {L} pairs, beyond the dense cap of {DENSE_PAIR_CAP}"
+        )
 
 
 def incidence_matrix(n: int) -> np.ndarray:
@@ -184,18 +188,14 @@ def incidence_matrix(n: int) -> np.ndarray:
     return M
 
 
-def pair_overlaps(n: int, max_pairs: int = DENSE_PAIR_CAP) -> np.ndarray:
+def pair_overlaps(n: int) -> np.ndarray:
     """M M^T as uint8: the number of vertices two pairs share, 0, 1 or 2.
 
     Every L x L matrix the package checks lies in span{I, M M^T, 11^T}:
     H = 2I + M M^T and A^T A = (3n-4) I - M M^T.  One byte per entry
     holds the counts exactly at an eighth of the memory of H.
     """
-    L = num_pairs(n)
-    if L > max_pairs:
-        raise ResourceLimitError(
-            f"n={n} gives {L} pairs, beyond the dense cap of {max_pairs}"
-        )
+    _require_dense_pairs(n)
     M = incidence_matrix(n)
     return (M @ M.T).astype(np.uint8)
 
@@ -216,8 +216,7 @@ def overlap_spectrum(n: int) -> np.ndarray:
     return values[:L]
 
 
-def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP,
-                               overlaps: np.ndarray | None = None) -> np.ndarray:
+def triangular_graph_adjacency(n: int, overlaps: np.ndarray | None = None) -> np.ndarray:
     """Adjacency matrix of the triangular graph: pairs adjacent iff they meet.
 
     Built independently of :func:`basis_gram`: M M^T counts the vertices
@@ -230,7 +229,7 @@ def triangular_graph_adjacency(n: int, max_pairs: int = DENSE_PAIR_CAP,
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
     if overlaps is None:
-        overlaps = pair_overlaps(n, max_pairs)
+        overlaps = pair_overlaps(n)
     return (overlaps == 1).astype(np.int64)
 
 
@@ -344,8 +343,7 @@ def dual_gram_entry(alpha: PairIndex, beta: PairIndex) -> float:
     )
 
 
-def dual_gram_matrix(n: int, max_pairs: int = DENSE_PAIR_CAP,
-                     overlaps: np.ndarray | None = None) -> np.ndarray:
+def dual_gram_matrix(n: int, overlaps: np.ndarray | None = None) -> np.ndarray:
     """All L x L inner products of the dual family, i.e. H^{-1}.
 
     The entry formula of :func:`dual_gram_entry` reads four entries of
@@ -360,7 +358,7 @@ def dual_gram_matrix(n: int, max_pairs: int = DENSE_PAIR_CAP,
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
     if overlaps is None:
-        overlaps = pair_overlaps(n, max_pairs)
+        overlaps = pair_overlaps(n)
     d, o = 1.0 - 1.0 / n, -1.0 / n
     values = np.array([0.5 * (o * o + o * o),
                        0.5 * (d * o + o * o),

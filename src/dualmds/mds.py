@@ -61,10 +61,11 @@ class EmbeddingResult:
     On the dense route ``discarded_mass`` sums the absolute values of all
     eigenvalues that were dropped, whether tiny noise or truncated
     geometry, and ``lambda_min`` is the smallest Gram eigenvalue, the one
-    the Euclidean test of :func:`is_euclidean` judges.  On the certified
-    route both are bounds, not values: ``lambda_min`` is -residual_norm,
-    a lower bound on the smallest eigenvalue, and ``discarded_mass`` an
-    upper bound on that sum.
+    the Euclidean test of :func:`is_euclidean` judges against
+    -tol * max(lambda_max, 0).  On the certified route both are bounds,
+    not values: ``lambda_min`` is -residual_norm, a lower bound on the
+    smallest eigenvalue, and ``discarded_mass`` an upper bound on that
+    sum.
     """
 
     points: PointConfiguration
@@ -101,9 +102,9 @@ def double_center(D: SquaredDistanceMatrix) -> GramMatrix:
 def _jdj(D: SquaredDistanceMatrix) -> np.ndarray:
     """-1/2 J D J as a raw array, for callers that trust their own product.
 
-    The product of a valid D is symmetric and zero-centered only up to
-    roundoff that grows with the scale of D, so an absolute check of it
-    would reject valid input at large coordinates.
+    The product of a valid D is symmetric and zero-centered up to
+    roundoff, so :func:`embed` and :func:`is_euclidean` hand it to the
+    eigensolver without scanning it again.
     """
     J = centering_matrix(D.n).entries
     return -0.5 * (J @ D.entries @ J)
@@ -166,9 +167,11 @@ def measure_coefficients(X: GramMatrix) -> np.ndarray:
 def _euclidean(vals: np.ndarray, tol: float) -> bool:
     """The Euclidean test on a descending Gram spectrum.
 
-    Fails iff the smallest eigenvalue lies below -tol * max(1, largest).
+    Fails iff the smallest eigenvalue lies below -tol * max(largest, 0), the
+    scale of the rank threshold, so the verdict does not change when D is
+    rescaled.  When no eigenvalue is positive, any negative one fails.
     """
-    return not vals[-1] < -tol * max(1.0, float(vals[0]))
+    return not vals[-1] < -tol * max(float(vals[0]), 0.0)
 
 
 def _require_tolerance(tol: float) -> None:
@@ -182,12 +185,12 @@ def is_euclidean(D: SquaredDistanceMatrix, tol: float = DEFAULT_RANK_TOL
     """Whether D is realizable by points in some Euclidean space.
 
     True iff the smallest eigenvalue of the Gram matrix is no smaller
-    than -tol * max(1, largest eigenvalue).  Returns the verdict together
+    than -tol * max(largest eigenvalue, 0).  Returns the verdict together
     with that smallest eigenvalue.  A tolerance that is not finite or is
     negative raises :class:`~dualmds.errors.DomainError`.
     """
     _require_tolerance(tol)
-    vals, _ = sym_eig(_jdj(D), sym_tol=None)
+    vals, _ = sym_eig(_jdj(D), trusted=True)
     return _euclidean(vals, tol), float(vals[-1])
 
 
@@ -217,7 +220,7 @@ def embed(D: SquaredDistanceMatrix, r: int | None = None,
     n = D.n
     certified = _certified_spectrum(D, tol) if n >= CERTIFIED_MIN_N else None
     if certified is None:
-        vals, vecs = sym_eig(_jdj(D), sym_tol=None)
+        vals, vecs = sym_eig(_jdj(D), trusted=True)
         lam_min = float(vals[-1])
         if not _euclidean(vals, tol):
             raise NonEuclideanError(
@@ -277,10 +280,11 @@ def _certified_spectrum(D: SquaredDistanceMatrix, tol: float):
     sign-fixed as :func:`~dualmds.spectral.sym_eig` fixes them, when no
     eigenvalue can lie within s of the rank threshold tol * lambda_max.
     The trailing ones, |lambda_i| <= s, must then lie below it, so that
-    s <= tol * max(1, mu_1 - s) and lambda_min >= -s passes the
-    Euclidean test of :func:`is_euclidean`.  Returns None when that
-    fails, or when ``CERTIFIED_MAX_PIVOTS`` pivots leave the residual
-    trace too large.
+    s <= tol * max(mu_1 - s, 0) <= tol * lambda_max, as lambda_max >=
+    mu_1 - s; then lambda_min >= -s passes the Euclidean test of
+    :func:`is_euclidean`, lambda_min >= -tol * max(lambda_max, 0).
+    Returns None when that fails, or when ``CERTIFIED_MAX_PIVOTS`` pivots
+    leave the residual trace too large.
     """
     G = center_by_means(D.entries)
     d = np.diag(G).copy()

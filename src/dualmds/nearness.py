@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import basis_gram, integer_deviation, overlap_spectrum, pair_overlaps
 from .errors import DomainError, ResourceLimitError
-from .pairspace import PairIndex, linear_index, num_pairs, pair_arrays
+from .pairspace import PairIndex, linear_index, num_pairs, pair_arrays, validate_symmetric
 from .spectral import spectrum_verdict, sym_eigvals
 
 DENSE_ENTRY_CAP = 200_000_000
@@ -211,17 +211,8 @@ class DissimilarityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        E = np.array(self.entries, dtype=float)
-        if E.ndim != 2 or E.shape[0] != E.shape[1]:
-            raise DomainError(f"dissimilarities must be square, got shape {E.shape}")
-        if not np.all(np.isfinite(E)):
-            raise DomainError("dissimilarities contain non-finite entries")
-        if E.size and float(np.max(np.abs(E - E.T))) > 1e-12:
-            raise DomainError("dissimilarity matrix must be symmetric")
-        if E.size and float(np.max(np.abs(np.diag(E)))) > 0.0:
-            raise DomainError("dissimilarity matrix must have a zero diagonal")
-        if E.size and float(E.min()) < 0.0:
-            raise DomainError("dissimilarities must be nonnegative")
+        E = validate_symmetric(np.array(self.entries, dtype=float),
+                               "dissimilarity matrix", hollow=True, nonnegative=True)
         E.setflags(write=False)
         object.__setattr__(self, "entries", E)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .pairspace import validate_symmetric
 
 DEFAULT_GROUP_TOL = 1e-8
-SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,19 +51,22 @@ class SpectrumReport:
         return 0
 
 
-def sym_eig(M: np.ndarray, sym_tol: float | None = SYM_TOL
-            ) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(M: np.ndarray, *, trusted: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as columns.  Each eigenvector is
     normalized so its largest-magnitude component is positive (ties
     resolved toward the lowest index), which makes the output a pure
-    function of the input matrix.  ``sym_tol=None`` skips the symmetry
-    scan, for a float array the caller built symmetric up to roundoff;
-    LAPACK reads the lower triangle only, so the result is the same.
+    function of the input matrix.  ``M`` is checked by
+    :func:`~dualmds.pairspace.validate_symmetric`; ``trusted=True`` skips
+    that scan, for a float array the caller built symmetric up to
+    roundoff.  LAPACK reads the lower triangle only, so the result is
+    the same.
     """
-    vals, vecs = np.linalg.eigh(M if sym_tol is None else _symmetric(M, sym_tol))
+    if not trusted:
+        M = validate_symmetric(M, "matrix", hollow=False)
+    vals, vecs = np.linalg.eigh(M)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     _normalize_signs(vecs)
@@ -73,25 +76,12 @@ def sym_eig(M: np.ndarray, sym_tol: float | None = SYM_TOL
 def sym_eigvals(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
 
-    Validates as :func:`sym_eig` does at its default ``SYM_TOL``.
-    LAPACK computes the values alone by a different route than together
-    with the vectors, so they may differ from ``sym_eig(M)[0]`` in the
-    last bits.
+    Validates as :func:`sym_eig` does.  LAPACK computes the values alone
+    by a different route than together with the vectors, so they may
+    differ from ``sym_eig(M)[0]`` in the last bits.
     """
-    return np.linalg.eigvalsh(_symmetric(M, SYM_TOL))[::-1].copy()
-
-
-def _symmetric(M, sym_tol: float) -> np.ndarray:
-    """``M`` as a float array; raises unless square and symmetric within sym_tol."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {M.shape}")
-    if M.size and float(np.max(np.abs(M - M.T))) > sym_tol:
-        raise DomainError(
-            f"matrix not symmetric within {sym_tol:.1e}: "
-            f"max |M - M^T| = {float(np.max(np.abs(M - M.T))):.3e}"
-        )
-    return M
+    M = validate_symmetric(M, "matrix", hollow=False)
+    return np.linalg.eigvalsh(M)[::-1].copy()
 
 
 def _normalize_signs(vecs: np.ndarray) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from ._kernels import amplification_kernel
 from .errors import DomainError
 from .mds import center_by_means, expand_coefficients
-from .pairspace import GramMatrix, SquaredDistanceMatrix, pair_arrays
+from .pairspace import GramMatrix, SquaredDistanceMatrix, pair_arrays, validate_symmetric
 
 NOISE_BOUND = 4.0
 
@@ -41,15 +41,8 @@ class NoiseMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        E = np.array(self.entries, dtype=float)
-        if E.ndim != 2 or E.shape[0] != E.shape[1]:
-            raise DomainError(f"noise must be a square matrix, got shape {E.shape}")
-        if not np.all(np.isfinite(E)):
-            raise DomainError("noise contains non-finite entries")
-        if E.size and float(np.max(np.abs(E - E.T))) > 1e-12:
-            raise DomainError("noise matrix must be symmetric")
-        if E.size and float(np.max(np.abs(np.diag(E)))) > 0.0:
-            raise DomainError("noise matrix must have a zero diagonal")
+        E = validate_symmetric(np.array(self.entries, dtype=float), "noise matrix",
+                               hollow=True)
         E.setflags(write=False)
         object.__setattr__(self, "entries", E)
 

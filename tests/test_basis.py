@@ -230,8 +230,9 @@ class TestBasisGram:
     def test_dense_cap(self):
         with pytest.raises(ResourceLimitError):
             basis_gram(500)
+        # n = 201 gives 20100 pairs, the first size past DENSE_PAIR_CAP
         with pytest.raises(ResourceLimitError):
-            basis_gram(10, max_pairs=6)
+            basis_gram(201)
 
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
@@ -278,8 +279,10 @@ class TestPairOverlaps:
             np.testing.assert_array_equal(np.nonzero(M[k])[0], [i - 1, j - 1])
 
     def test_dense_cap(self):
-        with pytest.raises(ResourceLimitError):
-            pair_overlaps(10, max_pairs=44)
+        # n = 201 gives 20100 pairs, the first size past DENSE_PAIR_CAP
+        for build in (pair_overlaps, triangular_graph_adjacency, dual_gram_matrix):
+            with pytest.raises(ResourceLimitError):
+                build(201)
 
     @pytest.mark.parametrize("n", range(3, 16))
     def test_spectrum_matches_dense_decomposition(self, n):

@@ -294,7 +294,7 @@ class TestEmbed:
         D = SquaredDistanceMatrix(IMPOSSIBLE_D2)
         _, lam_min = is_euclidean(D)
         lam_max = float(np.linalg.eigvalsh(double_center(D).entries)[-1])
-        tol = scale * abs(lam_min) / max(1.0, lam_max)
+        tol = scale * abs(lam_min) / lam_max
         ok, _ = is_euclidean(D, tol=tol)
         assert ok == (scale > 1)
         if ok:

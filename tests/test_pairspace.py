@@ -137,7 +137,6 @@ class TestSquaredDistanceMatrix:
         entries = [[0.0, 1.0 + 5e-7], [1.0, 0.0]]
         with pytest.raises(DomainError):
             SquaredDistanceMatrix(entries)
-        SquaredDistanceMatrix(entries, tol=1e-5)
 
     def test_upper_entries_lexicographic(self):
         D = np.zeros((4, 4))
