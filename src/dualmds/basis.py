@@ -116,19 +116,31 @@ def basis_atom(alpha: PairIndex) -> BasisAtom:
     return BasisAtom(alpha=alpha, entries=E)
 
 
+def dual_atom_factors(n: int, rows: np.ndarray,
+                      cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked factors (a, b) of the dual atoms at 0-based pairs (rows[k], cols[k]).
+
+    Row k of ``a`` is column rows[k] of J, and row k of ``b`` column
+    cols[k].  Column k of J is e_k - (1/n) 1, formed directly: 1 + (-1/n)
+    is the same float as 1 - 1/n, so the factors equal the columns of
+    :func:`~dualmds.pairspace.centering_matrix` bit for bit.
+    """
+    k = np.arange(len(rows))
+    a = np.full((k.size, n), -1.0 / n)
+    a[k, rows] += 1.0
+    b = np.full((k.size, n), -1.0 / n)
+    b[k, cols] += 1.0
+    return a, b
+
+
 def dual_atom(alpha: PairIndex) -> DualAtom:
     """The rank-2 dual atom for pair alpha, factored through J's columns.
 
-    Column k of J is e_k - (1/n) 1, formed directly: 1 + (-1/n) is the
-    same float as 1 - 1/n, so the factors equal the columns of
-    :func:`~dualmds.pairspace.centering_matrix` bit for bit.
+    The factors come from :func:`dual_atom_factors`, the builder
+    ``verify`` stacks for all pairs at once.
     """
-    n = alpha.n
-    a = np.full(n, -1.0 / n)
-    a[alpha.i - 1] += 1.0
-    b = np.full(n, -1.0 / n)
-    b[alpha.j - 1] += 1.0
-    return DualAtom(alpha=alpha, a=a, b=b)
+    a, b = dual_atom_factors(alpha.n, [alpha.i - 1], [alpha.j - 1])
+    return DualAtom(alpha=alpha, a=a[0], b=b[0])
 
 
 def dual_atom_eigenpairs(alpha: PairIndex) -> tuple[tuple[float, np.ndarray],

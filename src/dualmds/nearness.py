@@ -17,7 +17,6 @@ only otherwise is A^T A decomposed densely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -76,6 +75,23 @@ class ConstraintViolation:
     slack: float
 
 
+def _lex_triples(n: int) -> np.ndarray:
+    """All 1-based vertex triples i < j < k in lexicographic order, as int64 rows.
+
+    Pair (i, j), in the lexicographic order of
+    :func:`~dualmds.pairspace.pair_arrays`, is followed by k = j+1 ... n,
+    so each pair is repeated n - j times and k counts up from j + 1
+    within its run.
+    """
+    rows, cols = pair_arrays(n)
+    lengths = n - 1 - cols
+    starts = np.cumsum(lengths) - lengths
+    i = np.repeat(rows, lengths)
+    j = np.repeat(cols, lengths)
+    k = np.arange(i.size) - np.repeat(starts, lengths) + j + 1
+    return np.stack([i, j, k], axis=1) + 1
+
+
 class ConstraintMatrix:
     """Sparse signed constraint matrix: 3 * C(n, 3) rows, L columns.
 
@@ -97,7 +113,7 @@ class ConstraintMatrix:
         if n < 3:
             raise DomainError(f"triangle constraints need n >= 3, got n={n}")
         self.n = n
-        self.triples = np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64)
+        self.triples = _lex_triples(n)
         i, j, k = self.triples.T
         lin = np.stack(
             [linear_index(i, j, n), linear_index(i, k, n), linear_index(j, k, n)],
@@ -162,13 +178,14 @@ class ConstraintMatrix:
         """All signed entries as rows (row, column, sign), 1-based, sorted.
 
         An int64 array of shape (3 * num_rows, 3), ordered by row, then
-        column.
+        column.  A triple's columns (ij, ik, jk) are ascending and shared
+        by its three rows, and row s of the block has its +1 in slot s,
+        so the entries are built in order.
         """
         rows = np.repeat(np.arange(1, self.num_rows + 1), 3)
-        cols = np.column_stack([self.pos_col, self.neg_cols]).ravel() + 1
-        signs = np.tile(np.array([1, -1, -1], dtype=np.int64), self.num_rows)
-        order = np.lexsort((cols, rows))
-        return np.column_stack([rows, cols, signs])[order]
+        cols = np.repeat(self.pos_col.reshape(-1, 3), 3, axis=0).ravel() + 1
+        signs = np.tile(2 * np.eye(3, dtype=np.int64).ravel() - 1, self.num_rows // 3)
+        return np.column_stack([rows, cols, signs])
 
     def gram(self) -> np.ndarray:
         """A^T A, exact in int64.
@@ -177,17 +194,18 @@ class ConstraintMatrix:
         with column p in slot a and column q in slot b.  Slot 0 holds the
         +1 and slots 1, 2 the -1s, so the five slot pairs (0,0), (1,1),
         (2,2), (1,2), (2,1) add 1 and the four (0,1), (0,2), (1,0), (2,0)
-        subtract 1: two counts of the flat index p * L + q.
+        subtract 1: one count of the flat index p * L + q for the first,
+        then a subtraction in place for the second, so one L x L array
+        is held.
         """
         L = self.num_cols
         slots = (self.pos_col, self.neg_cols[:, 0], self.neg_cols[:, 1])
 
-        def count(pairs):
-            flat = np.concatenate([slots[a] * L + slots[b] for a, b in pairs])
-            return np.bincount(flat, minlength=L * L)
+        def flat(pairs):
+            return np.concatenate([slots[a] * L + slots[b] for a, b in pairs])
 
-        G = count(((0, 0), (1, 1), (2, 2), (1, 2), (2, 1)))
-        G -= count(((0, 1), (0, 2), (1, 0), (2, 0)))
+        G = np.bincount(flat(((0, 0), (1, 1), (2, 2), (1, 2), (2, 1))), minlength=L * L)
+        np.subtract.at(G, flat(((0, 1), (0, 2), (1, 0), (2, 0))), 1)
         return G.reshape(L, L)
 
     def apply(self, upper: np.ndarray) -> np.ndarray:

@@ -13,8 +13,14 @@ incidence matrix, the two spectrum checks first test, exactly in
 integers, that H - 2I and (3n-4)I - A^T A equal M M^T; the spectra then
 follow from the n x n matrix M^T M.  When a test fails, the check falls
 back to a dense eigensolve of the matrix itself, so a failing report
-prints its actual spectrum.  A run whose estimated peak memory exceeds
-physical memory is refused before anything is allocated.
+prints its actual spectrum.  Biorthogonality follows the same pattern:
+once the stacked dual-atom factors equal the centering matrix's rows
+exactly, the L x L table takes one value per relation class of two
+pairs (equal, sharing one vertex in one of four ways, disjoint), each
+evaluated once; otherwise every entry is evaluated.  The inverse check
+forms G H as 2G + (G M) M^T, O(L^2 n) instead of O(L^3).  A run whose
+estimated peak memory exceeds physical memory is refused before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from .basis import (
     basis_gram,
     dual_atom,
     dual_atom_eigenpairs,
+    dual_atom_factors,
     dual_gram_matrix,
     triangular_graph_adjacency,
     h_spectrum_predicted,
+    incidence_matrix,
     integer_deviation,
     overlap_spectrum,
     pair_overlaps,
@@ -44,8 +52,8 @@ from .mds import (
     squared_distances,
 )
 from .nearness import ConstraintMatrix, constraint_matrix, singular_value_verdict
-from .pairspace import PairIndex, PointConfiguration, linear_to_pair, num_pairs, \
-    pair_arrays
+from .pairspace import PairIndex, PointConfiguration, centering_matrix, linear_index, \
+    linear_to_pair, num_pairs, pair_arrays
 from .report import CheckResult
 from .spectral import spectrum_verdict, sym_eig, sym_eigvals
 
@@ -57,8 +65,8 @@ EXPANSION_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-7
 RANDOM_CONFIGS = 5
 # Peak memory of a run in L x L float64 arrays (8 L^2 bytes each), for the
-# up-front refusal.  Measured peak RSS of `dualmds verify`: 318 MB at n = 80
-# and 1341 MB at n = 120, a slope of 3.12 arrays; rounded up.
+# up-front refusal.  Measured peak RSS of `dualmds verify`: 297 MB at n = 80
+# and 1288 MB at n = 120, a slope of 3.02 arrays; rounded up.
 VERIFY_PEAK_ARRAYS = 3.2
 
 
@@ -131,18 +139,48 @@ def _check_triangular_decomposition(n: int, H: np.ndarray,
                        {"max_deviation": deviation})
 
 
-def _check_biorthogonality(n: int) -> CheckResult:
-    """<v_alpha, w_beta> = delta_alpha,beta over all L x L ordered pairs of pairs.
+def _atom_inner(a_i, b_i, a_j, b_j):
+    """<v_alpha, w_beta> = V[i,i] + V[j,j] - 2 V[i,j], with V = -1/2 (a b^T + b a^T).
 
-    At beta = (i, j) the inner product is V[i,i] + V[j,j] - 2 V[i,j] with
-    V = -1/2 (a b^T + b a^T), a and b being the factors of the package's
-    own ``dual_atom(alpha)``.  A block of alphas is evaluated against
-    every beta at once by index arithmetic on the stacked factors, with
-    the same floating-point operations per entry as the dense V, so the
-    result equals the entry-by-entry double loop bit for bit.  Blocks
-    hold about BIORTHOGONALITY_BLOCK_ENTRIES entries so that the check's
-    memory stays below the L x L arrays the spectrum and inverse checks
-    already build; the full table at once would add several more.
+    The arguments are the entries of v_alpha's factors a and b at the
+    two vertices i, j of beta; these are the floating-point operations
+    of the dense V, entry by entry.
+    """
+    v_ii = -0.5 * (a_i * b_i + b_i * a_i)
+    v_jj = -0.5 * (a_j * b_j + b_j * a_j)
+    v_ij = -0.5 * (a_i * b_j + b_i * a_j)
+    return v_ii + v_jj - 2.0 * v_ij
+
+
+# One (alpha, beta) per relation class of J(n, 2), as 0-based vertex pairs:
+# alpha = beta first, then beta sharing one vertex of alpha = (p, q) as
+# (p, .), (q, .), (., p) and (., q), then disjoint pairs, which need n >= 4.
+RELATION_CLASSES = (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (1, 2)),
+                    ((1, 2), (0, 1)), ((0, 2), (1, 2)), ((0, 1), (2, 3)))
+
+
+def _biorthogonality_by_class(n: int, a: np.ndarray, b: np.ndarray) -> float:
+    """max |<v_alpha, w_beta> - delta| from one entry per relation class.
+
+    Valid once the rows of ``a`` and ``b`` are exactly the columns of J
+    at each pair's two vertices: an entry then reads d = 1 - 1/n where
+    a vertex of beta is the factor's own vertex and o = -1/n elsewhere,
+    so it depends only on how alpha and beta meet, and the classes
+    present at n hold every value of the L x L table.
+    """
+    reps = np.array([c for c in RELATION_CLASSES if max(c[1]) < n])
+    (p, q), (i, j) = reps[:, 0].T, reps[:, 1].T
+    k = linear_index(p + 1, q + 1, n) - 1
+    inner = _atom_inner(a[k, i], b[k, i], a[k, j], b[k, j])
+    inner[0] -= 1.0
+    return float(np.max(np.abs(inner)))
+
+
+def _biorthogonality_exhaustive(n: int, a: np.ndarray, b: np.ndarray) -> float:
+    """max |<v_alpha, w_beta> - delta| over all L x L entries, a block of alphas at a time.
+
+    Blocks hold about BIORTHOGONALITY_BLOCK_ENTRIES entries so that the
+    check's memory stays below the L x L arrays other checks build.
     """
     L = num_pairs(n)
     rows, cols = pair_arrays(n)
@@ -150,19 +188,36 @@ def _check_biorthogonality(n: int) -> CheckResult:
     worst = 0.0
     for start in range(0, L, step):
         stop = min(start + step, L)
-        atoms = [dual_atom(PairIndex(int(rows[k]) + 1, int(cols[k]) + 1, n))
-                 for k in range(start, stop)]
-        a = np.stack([v.a for v in atoms])
-        b = np.stack([v.b for v in atoms])
-        a_i, a_j, b_i, b_j = a[:, rows], a[:, cols], b[:, rows], b[:, cols]
-        v_ii = -0.5 * (a_i * b_i + b_i * a_i)
-        v_jj = -0.5 * (a_j * b_j + b_j * a_j)
-        v_ij = -0.5 * (a_i * b_j + b_i * a_j)
-        inner = v_ii + v_jj - 2.0 * v_ij
+        a_blk, b_blk = a[start:stop], b[start:stop]
+        inner = _atom_inner(a_blk[:, rows], b_blk[:, rows], a_blk[:, cols], b_blk[:, cols])
         inner[np.arange(stop - start), np.arange(start, stop)] -= 1.0
         worst = max(worst, float(np.max(np.abs(inner))))
+    return worst
+
+
+def _check_biorthogonality(n: int) -> CheckResult:
+    """<v_alpha, w_beta> = delta_alpha,beta over all L x L ordered pairs of pairs.
+
+    The factors of all L dual atoms come from
+    :func:`~dualmds.basis.dual_atom_factors`, the builder behind
+    ``dual_atom``.  When they equal the rows of the independently built
+    centering matrix exactly, the table takes one value per relation
+    class of (alpha, beta), and each class present at n is evaluated
+    once (:func:`_biorthogonality_by_class`); otherwise every entry is
+    evaluated (:func:`_biorthogonality_exhaustive`), so a failing report
+    shows the actual deviation.  Both use the same floating-point
+    operations per entry as the dense V, so the result equals the
+    entry-by-entry double loop bit for bit.
+    """
+    rows, cols = pair_arrays(n)
+    a, b = dual_atom_factors(n, rows, cols)
+    J = centering_matrix(n).entries
+    if np.array_equal(a, J[rows]) and np.array_equal(b, J[cols]):
+        worst = _biorthogonality_by_class(n, a, b)
+    else:
+        worst = _biorthogonality_exhaustive(n, a, b)
     return CheckResult("biorthogonality", worst <= BIORTHOGONALITY_TOL,
-                       {"max_deviation": worst, "pairs": L})
+                       {"max_deviation": worst, "pairs": num_pairs(n)})
 
 
 def _check_dual_atom_spectra(n: int, rng: np.random.Generator) -> CheckResult:
@@ -200,10 +255,19 @@ def _check_dual_atom_spectra(n: int, rng: np.random.Generator) -> CheckResult:
     )
 
 
-def _check_dual_gram_inverse(n: int, H: np.ndarray,
-                             overlaps: np.ndarray) -> CheckResult:
-    """max |G H - I| with G the dual Gram matrix, formed in the product's array."""
-    product = dual_gram_matrix(n, overlaps=overlaps) @ H
+def _check_dual_gram_inverse(n: int, overlaps: np.ndarray) -> CheckResult:
+    """max |G H - I| with G the dual Gram matrix and H = 2I + M M^T.
+
+    With M the L x n incidence matrix, G H = 2G + (G M) M^T, formed in
+    O(L^2 n) instead of the O(L^3) dense product; each entry sums n
+    products instead of L, so its roundoff is smaller too.  That H is
+    2I + M M^T exactly is the integer test of ``atom_gram_spectrum``.
+    """
+    G = dual_gram_matrix(n, overlaps=overlaps)
+    M = incidence_matrix(n)
+    product = (G @ M) @ M.T
+    G *= 2.0
+    product += G
     product[np.diag_indices_from(product)] -= 1.0
     deviation = float(np.max(np.abs(product, out=product)))
     return CheckResult("dual_gram_inverse", deviation <= INVERSE_TOL,
@@ -273,7 +337,7 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     checks.append(_check_triangular_decomposition(n, H, overlaps))
     checks.append(_check_biorthogonality(n))
     checks.append(_check_dual_atom_spectra(n, rng))
-    checks.append(_check_dual_gram_inverse(n, H, overlaps))
+    checks.append(_check_dual_gram_inverse(n, overlaps))
     checks.append(_check_expansion_equivalence(n, rng))
     checks.append(_check_embedding_round_trip(n, rng))
     A = constraint_matrix(n)

@@ -21,12 +21,14 @@ from dualmds import (
     triangular_graph_adjacency,
 )
 from dualmds.basis import (
+    dual_atom_factors,
     incidence_matrix,
     integer_deviation,
     overlap_spectrum,
     pair_overlaps,
 )
 from dualmds import basis
+from dualmds.pairspace import pair_arrays
 from dualmds.errors import DomainError, ResourceLimitError
 
 import oracles
@@ -138,6 +140,15 @@ class TestDualAtom:
             assert np.array_equal(v.a, a) and np.array_equal(v.b, b)
             assert np.array_equal(v.a, J[:, alpha.i - 1])
             assert np.array_equal(v.b, J[:, alpha.j - 1])
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_stacked_factors_are_the_single_atoms(self, n):
+        rows, cols = pair_arrays(n)
+        a, b = dual_atom_factors(n, rows, cols)
+        assert a.shape == b.shape == (num_pairs(n), n)
+        for k, alpha in enumerate(all_pairs(n)):
+            v = dual_atom(alpha)
+            assert np.array_equal(a[k], v.a) and np.array_equal(b[k], v.b)
 
     def test_builds_no_centering_matrix(self, monkeypatch):
         built = []

@@ -1,5 +1,8 @@
 """Triangle-inequality constraint matrix and its spectral structure."""
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,13 @@ class TestDenseAndSparseAgree:
         assert trips.dtype == np.int64
         np.testing.assert_array_equal(trips, oracles.constraint_triplets_by_rows(n))
 
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_triples_are_lexicographic_combinations(self, n):
+        triples = constraint_matrix(n).triples
+        assert triples.dtype == np.int64
+        np.testing.assert_array_equal(
+            triples, np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64))
+
     def test_triplets_sorted(self):
         trips = constraint_matrix(4).triplets().tolist()
         assert trips == sorted(trips)
@@ -195,6 +205,25 @@ class TestGramIdentity:
         G = constraint_matrix(n).gram()
         assert G.dtype == np.int64
         np.testing.assert_array_equal(G, oracles.constraint_gram_by_scatter(n))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_gram_matches_dense_oracle_product(self, n):
+        A = oracles.constraint_dense(n).astype(np.int64)
+        G = constraint_matrix(n).gram()
+        assert G.dtype == np.int64
+        np.testing.assert_array_equal(G, A.T @ A)
+
+    def test_gram_holds_one_pair_sized_array(self):
+        # the +1 count and the -1 scatter share one L x L int64 array; a
+        # second one would put the peak above 2 arrays
+        A = constraint_matrix(30)
+        tracemalloc.start()
+        try:
+            A.gram()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * 8 * A.num_cols ** 2
 
     @pytest.mark.parametrize("entry", [(0, 0), (2, 7), (9, 9)])
     def test_deviation_counts_one_wrong_entry(self, entry):

@@ -6,9 +6,8 @@ import pytest
 from dualmds import basis, cli, num_pairs, verification
 from dualmds.basis import (
     BasisGram,
-    DualAtom,
     basis_gram,
-    dual_atom,
+    dual_gram_matrix,
     h_spectrum_predicted,
     pair_overlaps,
     require_dense_memory,
@@ -24,7 +23,8 @@ from dualmds.nearness import (
 from dualmds.errors import DomainError, ResourceLimitError
 from dualmds.report import CheckResult
 from dualmds.spectral import spectrum_verdict, sym_eigvals
-from dualmds.verification import VERIFY_PEAK_ARRAYS, run_verification
+from dualmds.pairspace import pair_arrays
+from dualmds.verification import INVERSE_TOL, VERIFY_PEAK_ARRAYS, run_verification
 
 import oracles
 
@@ -68,23 +68,50 @@ def test_rejects_too_few_points():
         run_verification(2)
 
 
-def _scaled_dual_atom(factor, only=None):
-    """A dual_atom replacement returning v_alpha scaled by ``factor``."""
-    def scaled(alpha):
-        v = dual_atom(alpha)
-        if only is not None and (alpha.i, alpha.j) != only:
-            return v
-        return DualAtom(alpha, v.a * factor, v.b)
+def _scaled_factors(factor, only=None):
+    """A dual_atom_factors replacement whose a factors are scaled by ``factor``.
+
+    With ``only`` = (i, j), 1-based, just that pair's atom is scaled.
+    """
+    def scaled(n, rows, cols):
+        a, b = basis.dual_atom_factors(n, rows, cols)
+        hit = np.ones(len(rows), dtype=bool) if only is None else \
+            (rows == only[0] - 1) & (cols == only[1] - 1)
+        a[hit] *= factor
+        return a, b
     return scaled
 
 
+def _all_factors(n):
+    return basis.dual_atom_factors(n, *pair_arrays(n))
+
+
 class TestBiorthogonality:
-    @pytest.mark.parametrize("n", range(3, 13))
-    def test_matches_double_loop_oracle(self, n):
+    @pytest.fixture
+    def exhaustive_calls(self, monkeypatch):
+        """The sizes at which the check entered its exhaustive loop."""
+        calls = []
+        original = verification._biorthogonality_exhaustive
+
+        def spy(n, a, b):
+            calls.append(n)
+            return original(n, a, b)
+
+        monkeypatch.setattr(verification, "_biorthogonality_exhaustive", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_matches_double_loop_oracle(self, n, exhaustive_calls):
         result = verification._check_biorthogonality(n)
         assert result.payload["max_deviation"] == oracles.biorthogonality_deviation(n)
         assert result.payload["pairs"] == num_pairs(n)
         assert result.passed is True
+        assert exhaustive_calls == []
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_exhaustive_loop_matches_oracle(self, n):
+        assert verification._biorthogonality_exhaustive(n, *_all_factors(n)) \
+            == oracles.biorthogonality_deviation(n)
 
     @pytest.mark.parametrize("n", [7, 12])
     def test_ragged_blocks_match_oracle(self, n, monkeypatch):
@@ -92,24 +119,47 @@ class TestBiorthogonality:
         L = num_pairs(n)
         assert L % 4 != 0
         monkeypatch.setattr(verification, "BIORTHOGONALITY_BLOCK_ENTRIES", 4 * L)
-        result = verification._check_biorthogonality(n)
-        assert result.payload["max_deviation"] == oracles.biorthogonality_deviation(n)
+        deviation = verification._biorthogonality_exhaustive(n, *_all_factors(n))
+        assert deviation == oracles.biorthogonality_deviation(n)
 
-    def test_scaled_dual_atoms_fail(self, monkeypatch):
-        monkeypatch.setattr(verification, "dual_atom", _scaled_dual_atom(1 + 1e-9))
+    def test_scaled_dual_atoms_fail(self, monkeypatch, exhaustive_calls):
+        monkeypatch.setattr(verification, "dual_atom_factors", _scaled_factors(1 + 1e-9))
         result = verification._check_biorthogonality(6)
         assert result.passed is False
         assert result.payload["max_deviation"] == pytest.approx(1e-9, rel=1e-3)
+        assert exhaustive_calls == [6]
 
-    def test_scaled_last_atom_in_partial_block_fails(self, monkeypatch):
+    def test_scaled_last_atom_in_partial_block_fails(self, monkeypatch, exhaustive_calls):
         n = 7
         monkeypatch.setattr(verification, "BIORTHOGONALITY_BLOCK_ENTRIES",
                             4 * num_pairs(n))
-        monkeypatch.setattr(verification, "dual_atom",
-                            _scaled_dual_atom(1 + 1e-9, only=(n - 1, n)))
+        monkeypatch.setattr(verification, "dual_atom_factors",
+                            _scaled_factors(1 + 1e-9, only=(n - 1, n)))
         result = verification._check_biorthogonality(n)
         assert result.passed is False
         assert result.payload["max_deviation"] == pytest.approx(1e-9, rel=1e-3)
+        assert exhaustive_calls == [n]
+
+
+class TestDualGramInverse:
+    """G H through the incidence matrix against the dense product it replaces."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_structured_and_dense_within_tolerance(self, n):
+        result = verification._check_dual_gram_inverse(n, pair_overlaps(n))
+        dense = dual_gram_matrix(n) @ basis_gram(n).entries - np.eye(num_pairs(n))
+        assert result.passed is True
+        assert result.payload["max_deviation"] <= INVERSE_TOL
+        assert float(np.max(np.abs(dense))) <= INVERSE_TOL
+
+    def test_scaled_dual_gram_fails(self, monkeypatch):
+        def scaled(size, overlaps):
+            return (1 + 1e-8) * dual_gram_matrix(size, overlaps)
+
+        monkeypatch.setattr(verification, "dual_gram_matrix", scaled)
+        result = verification._check_dual_gram_inverse(9, pair_overlaps(9))
+        assert result.passed is False
+        assert result.payload["max_deviation"] == pytest.approx(1e-8, rel=1e-3)
 
 
 class TestBuildsOncePerRun:
