@@ -25,7 +25,8 @@ from . import _reference
 from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix, integer_deviation,
                     require_dense_memory)
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
-from .fileio import format_float, read_matrix_csv, write_matrix_csv, write_triplets
+from .fileio import (CSV_BLOCK_ENTRIES, format_float, read_matrix_csv, write_integer_csv,
+                     write_matrix_csv, write_triplets)
 from .mds import CERTIFIED_MIN_N, embed, squared_distances
 from .nearness import NEARNESS_PEAK_ARRAYS, constraint_matrix, singular_value_verdict
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
@@ -157,7 +158,7 @@ def cmd_nearness(args) -> int:
     parameters = {"n": args.n, "format": args.format}
     if args.out:
         if args.format == "dense":
-            write_matrix_csv(args.out, A.to_dense().astype(float))
+            write_integer_csv(args.out, A.dense_blocks(CSV_BLOCK_ENTRIES))
         else:
             write_triplets(args.out, A.triplets())
         parameters["out"] = args.out

@@ -4,6 +4,12 @@ Matrices travel as headerless CSV, one row per line.  Numbers are
 written with ``repr``, the shortest decimal string that parses back to
 the identical float, so rewriting a file is byte-stable and reading one
 is lossless.
+
+Integer output (the triplet file, and the dense CSV of an integer
+matrix) is formatted by :func:`format_integers`, which turns a whole
+int64 block into the bytes of ``%d`` with numpy operations.  Every writer
+works a block of rows at a time, so the memory it holds is bounded by a
+block, not by the matrix or the file.
 """
 
 from __future__ import annotations
@@ -11,12 +17,15 @@ from __future__ import annotations
 import mmap
 import os
 import warnings
+from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import ParseError
 
 TRIPLET_BLOCK_LINES = 8192
+# Entries per block of the CSV writers.
+CSV_BLOCK_ENTRIES = 1 << 16
 
 
 def format_float(x: float) -> str:
@@ -24,13 +33,83 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def format_integers(X: np.ndarray, sep: bytes = b" ", end: bytes = b"\n") -> bytes:
+    """The bytes of ``%d`` for every entry of an (m, k) integer array.
+
+    The entries of a row are joined by ``sep`` and every row ends with
+    ``end``; the two must have the same length and hold no NUL byte.
+    ``format_integers(X)`` equals ``("%d %d %d\\n" * m) % tuple(rows)``
+    for k = 3.
+
+    Each entry gets one byte slot per digit of the block's largest |x|,
+    a '-' slot when the block has a negative entry, and its separator.
+    The digits come from repeated division by 10 into uint8 planes, one
+    plane per slot; a slot that ``%d`` would not print (a leading zero,
+    or the '-' of a nonnegative entry) is set to NUL, and one compaction
+    of the transposed planes drops every NUL.  |x| is taken through a
+    uint64 view, so the int64 minimum formats correctly.
+    """
+    if len(sep) != len(end) or 0 in sep + end:
+        raise ValueError("sep and end must be of equal length, without NUL bytes")
+    X = np.asarray(X, dtype=np.int64)
+    m, k = X.shape
+    if X.size == 0:
+        return end * m if k == 0 else b""
+    magnitude = np.abs(X).view(np.uint64)
+    negative = X < 0
+    digits = len(str(int(magnitude.max())))
+    lead = int(negative.any())
+    body = lead + digits
+    planes = np.empty((body + len(sep), m, k), dtype=np.uint8)
+    planes[body:] = np.frombuffer(sep, dtype=np.uint8)[:, None, None]
+    planes[body:, :, -1] = np.frombuffer(end, dtype=np.uint8)[:, None]
+    q = magnitude
+    for d in range(digits):
+        plane = planes[body - 1 - d]
+        if d < digits - 1:
+            quotient = q // np.uint64(10)
+            np.subtract(q, quotient * np.uint64(10), out=plane, casting="unsafe")
+            q = quotient
+        else:
+            plane[...] = q
+        plane += ord("0")
+        if d:
+            plane *= magnitude >= np.uint64(10**d)
+    if lead:
+        np.multiply(negative, ord("-"), out=planes[0], casting="unsafe")
+    chars = planes.reshape(len(planes), -1).T.ravel()
+    return np.compress(chars != 0, chars).tobytes()
+
+
 def write_matrix_csv(path: str | os.PathLike, M: np.ndarray) -> None:
-    """Write a matrix as headerless CSV with round-trip precision."""
+    """Write a matrix as headerless CSV with round-trip precision.
+
+    Rows are formatted about CSV_BLOCK_ENTRIES entries at a time.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    rows = max(1, CSV_BLOCK_ENTRIES // max(1, M.shape[1]))
     with open(path, "w", encoding="ascii") as fh:
-        for row in M.tolist():
-            fh.write(",".join(map(repr, row)))
-            fh.write("\n")
+        for start in range(0, M.shape[0], rows):
+            fh.write("".join(",".join(map(repr, row)) + "\n"
+                             for row in M[start:start + rows].tolist()))
+
+
+def write_integer_csv(path: str | os.PathLike, blocks: Iterable[np.ndarray]) -> None:
+    """Write blocks of integer rows as :func:`write_matrix_csv` writes their floats.
+
+    Each block is an (m, k) integer array with k >= 1.
+
+    An integer with |v| <= 2**53 is a float exactly, and ``repr`` of that
+    float is its ``%d`` text followed by ``.0``, so the file is
+    byte-identical to ``write_matrix_csv(path, vstack(blocks))``, while
+    only one block is held and formatted at a time.
+    """
+    with open(path, "wb") as fh:
+        for block in blocks:
+            block = np.asarray(block, dtype=np.int64)
+            if block.size and np.abs(block).view(np.uint64).max() > 2**53:
+                raise ValueError("write_integer_csv needs |entries| <= 2**53")
+            fh.write(format_integers(block, b".0,", b".0\n"))
 
 
 def read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
@@ -161,13 +240,28 @@ def write_triplets(path: str | os.PathLike, triplets) -> None:
     """Write sparse entries as ``row col sign`` lines, 1-based, sorted.
 
     ``triplets`` is an (m, 3) integer array or a list of (row, col, sign)
-    tuples, in any order.  Lines are formatted a block of
-    TRIPLET_BLOCK_LINES at a time, which bounds the Python integers and
-    text held at once.
+    tuples, in any order.  Input already in order, such as
+    :meth:`~dualmds.nearness.ConstraintMatrix.triplets`, is recognised in
+    O(m) and not sorted again.  The lines are formatted by
+    :func:`format_integers` a block of TRIPLET_BLOCK_LINES at a time.
     """
     T = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    T = T[np.lexsort(T.T[::-1])]
-    with open(path, "w", encoding="ascii") as fh:
+    if not _rows_sorted(T):
+        T = T[np.lexsort(T.T[::-1])]
+    with open(path, "wb") as fh:
         for start in range(0, T.shape[0], TRIPLET_BLOCK_LINES):
-            block = T[start:start + TRIPLET_BLOCK_LINES]
-            fh.write(("%d %d %d\n" * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(format_integers(T[start:start + TRIPLET_BLOCK_LINES]))
+
+
+def _rows_sorted(T: np.ndarray) -> bool:
+    """Whether the rows of ``T`` are in lexicographic order, in O(m).
+
+    Consecutive rows are in order when their first differing column
+    increases, or none differs.  That is folded from the last column
+    back, with comparisons, which cannot overflow as differences can.
+    """
+    later, earlier = T[1:], T[:-1]
+    ordered = np.ones(later.shape[0], dtype=bool)
+    for c in range(T.shape[1] - 1, -1, -1):
+        ordered = (later[:, c] > earlier[:, c]) | ((later[:, c] == earlier[:, c]) & ordered)
+    return bool(ordered.all())

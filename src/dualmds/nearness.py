@@ -29,6 +29,8 @@ DENSE_ENTRY_CAP = 200_000_000
 # Peak memory of `dualmds nearness` in L x L float64 arrays (8 L^2 bytes
 # each), for the up-front refusal.  Measured peak RSS without --out: 211 MB
 # at n = 80 and 898 MB at n = 120, a slope of 2.10 arrays; rounded up.
+# Both exports are written a block of rows at a time and add about a block
+# to that (`--n 40 --out A.csv`, a 92 MB file, peaks at 43 MB).
 NEARNESS_PEAK_ARRAYS = 2.2
 
 
@@ -162,16 +164,33 @@ class ConstraintMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Dense signed matrix (small n only)."""
+        (A,) = self.dense_blocks(self.num_rows * self.num_cols)
+        return A
+
+    def dense_blocks(self, entries: int):
+        """The dense signed matrix as consecutive int64 blocks of whole rows.
+
+        Each block holds about ``entries`` entries (at least one row).  A
+        matrix past DENSE_ENTRY_CAP is refused here, at the call, before
+        any block is built.
+        """
         if self.num_rows * self.num_cols > DENSE_ENTRY_CAP:
             raise ResourceLimitError(
                 f"dense constraint matrix for n={self.n} needs "
                 f"{self.num_rows}x{self.num_cols} entries"
             )
-        A = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
-        rows = np.arange(self.num_rows)
-        A[rows, self.pos_col] = 1
-        A[rows, self.neg_cols[:, 0]] = -1
-        A[rows, self.neg_cols[:, 1]] = -1
+        rows = max(1, entries // self.num_cols)
+        return (self._dense_rows(start, start + rows)
+                for start in range(0, self.num_rows, rows))
+
+    def _dense_rows(self, start: int, stop: int) -> np.ndarray:
+        pos = self.pos_col[start:stop]
+        neg = self.neg_cols[start:stop]
+        A = np.zeros((pos.shape[0], self.num_cols), dtype=np.int64)
+        rows = np.arange(pos.shape[0])
+        A[rows, pos] = 1
+        A[rows, neg[:, 0]] = -1
+        A[rows, neg[:, 1]] = -1
         return A
 
     def triplets(self) -> np.ndarray:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dualmds import (
     squared_distances,
     write_matrix_csv,
 )
+from dualmds import cli, fileio
 from dualmds.mds import CERTIFIED_MIN_N
 from dualmds.cli import main
 from dualmds.report import CheckResult
@@ -437,6 +439,43 @@ class TestNearness:
     def test_too_small_n_exit_2(self, capsys):
         assert main(["nearness", "--n", "2"]) == 2
         capsys.readouterr()
+
+    def test_dense_cap_exit_2_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "A.csv"
+        assert main(["nearness", "--n", "62", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dense constraint matrix for n=62 needs "
+                                "113460x1891 entries\n")
+        assert not out.exists()
+
+    def test_dense_export_memory_bounded_by_blocks(self, tmp_path, monkeypatch, capsys):
+        # The formatter holds about 65 bytes per entry of a block: the block
+        # and |x| (8 each), five byte planes, their transpose and its mask,
+        # and the indices of the kept bytes.  The whole matrix, 12180 x 435,
+        # is never held.
+        peaks = []
+        write = cli.write_integer_csv
+
+        def measured(path, blocks):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            write(path, blocks)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+        monkeypatch.setattr(cli, "write_integer_csv", measured)
+        out = tmp_path / "A.csv"
+        tracemalloc.start()
+        try:
+            assert main(["nearness", "--n", "30", "--out", str(out)]) == 0
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        A = constraint_matrix(30)
+        bound = 100 * fileio.CSV_BLOCK_ENTRIES
+        assert peaks[0] < bound < 8 * A.num_rows * A.num_cols / 6
+        # every entry is "0.0," or "1.0," but the two "-1.0," of each row
+        assert out.stat().st_size == 4 * A.num_rows * A.num_cols + 2 * A.num_rows
 
 
 class TestBasis:

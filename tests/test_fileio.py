@@ -5,10 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualmds import fileio, read_matrix_csv, write_matrix_csv, write_triplets
+from dualmds import constraint_matrix, fileio, read_matrix_csv, write_matrix_csv, write_triplets
 from dualmds.errors import ParseError
-from dualmds.fileio import format_float
+from dualmds.fileio import format_float, format_integers, write_integer_csv
+
+INT64 = np.iinfo(np.int64)
 
 
 class TestFormatFloat:
@@ -29,6 +33,57 @@ class TestFormatFloat:
         )
         for x in values:
             assert float(format_float(float(x))) == float(x)
+
+
+def percent_d(rows) -> bytes:
+    """The ``%d`` oracle: rows of three integers as ``row col sign`` lines."""
+    rows = [tuple(int(v) for v in row) for row in rows]
+    return (("%d %d %d\n" * len(rows)) % tuple(v for row in rows for v in row)).encode()
+
+
+def repr_csv(M) -> bytes:
+    """The ``repr`` oracle: a float matrix as headerless CSV."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in M.tolist()).encode()
+
+
+# 0, +-1, 10**j - 1 and 10**j for every width of 1 to 19 digits, and the
+# int64 extremes
+EDGE_INTEGERS = sorted({0, 1, -1, INT64.min, INT64.max, INT64.min + 1}
+                       | {s * (10**j + e) for j in range(1, 19)
+                          for e in (-1, 0) for s in (1, -1)})
+
+
+class TestFormatIntegers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGE_INTEGERS),
+                                          st.integers(INT64.min, INT64.max))] * 3),
+                    max_size=50))
+    def test_matches_percent_d(self, rows):
+        X = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        assert format_integers(X) == percent_d(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [(INT64.min, INT64.max, 0)],
+        [(v, -v, 1) for v in EDGE_INTEGERS if v != INT64.min],
+        [(-1, 2, -3), (-40, 5, -600), (-7, 8, -9)],
+        [(0, 0, 0)] * 4,
+        [(9, 99, 999)],
+    ], ids=["extremes", "every-width", "all-negative-columns", "zeros", "no-negative"])
+    def test_cases(self, rows):
+        assert format_integers(np.array(rows, dtype=np.int64)) == percent_d(rows)
+
+    def test_empty_input(self):
+        assert format_integers(np.empty((0, 3), dtype=np.int64)) == b""
+        assert percent_d([]) == b""
+
+    def test_csv_separator_renders_repr_of_floats(self):
+        X = np.array([[-1, 0, 1], [12, -345, 6789]])
+        assert format_integers(X, b".0,", b".0\n") == repr_csv(X.astype(float))
+
+    @pytest.mark.parametrize("sep, end", [(b",", b"\r\n"), (b"\0", b"\n")])
+    def test_rejects_unequal_or_nul_separators(self, sep, end):
+        with pytest.raises(ValueError):
+            format_integers(np.ones((1, 2), dtype=np.int64), sep, end)
 
 
 class TestMatrixCsv:
@@ -53,6 +108,16 @@ class TestMatrixCsv:
         write_matrix_csv(path, np.array([1.0, 2.5, -3.0]))
         assert path.read_text() == "1.0,2.5,-3.0\n"
         assert read_matrix_csv(path).shape == (1, 3)
+
+    def test_rows_written_in_blocks(self, tmp_path, monkeypatch):
+        # repr of every float, non-integers included, whatever the block size
+        monkeypatch.setattr(fileio, "CSV_BLOCK_ENTRIES", 4)
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((7, 3)) * np.array([1e-300, 1.0, 1e300])
+        M[0] = [0.0, -0.0, 2.0]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, M)
+        assert path.read_bytes() == repr_csv(M)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -361,25 +426,93 @@ class TestChunkedReader:
         assert fallbacks == [path]
 
 
+@pytest.fixture
+def lexsorts(monkeypatch):
+    """A list that gains one entry per np.lexsort call."""
+    calls = []
+    real = np.lexsort
+
+    def lexsort(keys, *args, **kwargs):
+        calls.append(1)
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    return calls
+
+
 class TestTriplets:
-    def test_lines_sorted_and_formatted(self, tmp_path):
+    """Any order in, sorted lines out; sorted input is not sorted again."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_constraint_triplets_not_sorted_again(self, n, tmp_path, lexsorts):
+        T = constraint_matrix(n).triplets()
+        path = tmp_path / "t.txt"
+        write_triplets(path, T)
+        assert lexsorts == []
+        assert path.read_bytes() == percent_d(T)
+
+    def test_lines_sorted_and_formatted(self, tmp_path, lexsorts):
         path = tmp_path / "t.txt"
         write_triplets(path, [(2, 1, -1), (1, 3, -1), (1, 1, 1)])
         assert path.read_text() == "1 1 1\n1 3 -1\n2 1 -1\n"
+        assert lexsorts == [1]
 
-    def test_unsorted_array(self, tmp_path):
+    def test_unsorted_array(self, tmp_path, lexsorts):
         path = tmp_path / "t.txt"
         write_triplets(path, np.array([[12, 3, 1], [2, 10, -1], [2, 9, -1]]))
         assert path.read_text() == "2 9 -1\n2 10 -1\n12 3 1\n"
+        assert lexsorts == [1]
 
-    def test_lines_past_one_block(self, tmp_path, monkeypatch):
+    def test_lines_past_one_block(self, tmp_path, monkeypatch, lexsorts):
         monkeypatch.setattr(fileio, "TRIPLET_BLOCK_LINES", 4)
         entries = [(r, c, 1 - 2 * (c % 2)) for r in range(3, 0, -1) for c in (3, 1, 2)]
         path = tmp_path / "t.txt"
         write_triplets(path, entries)
         assert path.read_text() == "".join(f"{r} {c} {s}\n" for r, c, s in sorted(entries))
+        assert lexsorts == [1]
 
     def test_empty_list(self, tmp_path):
         path = tmp_path / "t.txt"
         write_triplets(path, [])
         assert path.read_text() == ""
+
+    def test_ties_and_duplicates_in_sorted_order(self, tmp_path, lexsorts):
+        entries = [(2, 5, 1), (1, 9, -1), (2, 3, -1), (1, 9, -1), (2, 3, -1),
+                   (1, 2, 1), (2, 5, -1)]
+        path = tmp_path / "t.txt"
+        write_triplets(path, entries)
+        assert path.read_bytes() == percent_d(sorted(entries))
+        assert lexsorts == [1]
+
+    def test_sorted_ties_and_duplicates_kept(self, tmp_path, lexsorts):
+        entries = sorted([(1, 2, 1), (1, 2, 1), (1, 3, -1), (2, 1, -1), (2, 1, 1)])
+        path = tmp_path / "t.txt"
+        write_triplets(path, entries)
+        assert path.read_bytes() == percent_d(entries)
+        assert lexsorts == []
+
+    def test_order_decided_without_overflow(self, tmp_path):
+        # INT64.min - INT64.max overflows to +1: a difference would call
+        # this pair sorted
+        entries = [(INT64.max, 1, 1), (INT64.min, 1, 1), (0, INT64.max, -1),
+                   (0, INT64.min, -1)]
+        path = tmp_path / "t.txt"
+        write_triplets(path, entries)
+        assert path.read_bytes() == percent_d(sorted(entries))
+
+
+class TestIntegerCsv:
+    def test_matches_float_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "CSV_BLOCK_ENTRIES", 4)
+        rng = np.random.default_rng(4)
+        M = rng.integers(-10**15, 10**15, size=(9, 5))
+        M[0] = [0, 1, -1, 2**53, -(2**53)]
+        path = tmp_path / "m.csv"
+        write_integer_csv(path, (M[k:k + 2] for k in range(0, 9, 2)))
+        assert path.read_bytes() == repr_csv(M.astype(float))
+
+    @pytest.mark.parametrize("v", [2**53 + 1, -(2**53) - 1, 10**16, INT64.min])
+    def test_rejects_entries_no_float_holds(self, v, tmp_path):
+        # float(2**53 + 1) rounds, and repr(1e16) is "1e+16"
+        with pytest.raises(ValueError):
+            write_integer_csv(tmp_path / "m.csv", [np.array([[0], [v]])])

@@ -25,6 +25,12 @@ parsed its CSV value by value with ``float()`` and ran the Euclidean test
 as a separate double centering and eigendecomposition.  The same BLAS
 caveat applies.
 
+The ``nearness --n N --out A.csv`` digests (N = 4, 12, 20) and the
+``gen --n 50 --r 3 --seed 0`` digests were recorded when both exports
+held the whole matrix and wrote ``repr`` of each float from one
+``tolist()``; the block-streamed writers must reproduce them byte for
+byte.  The ``gen`` files carry the same BLAS caveat.
+
 ``data/noise_n64.json`` is the ``noise --n 64 --r 2 --trials 200 --seed 0
 --format json`` report as computed by -1/2 J E J from row and grand
 means, with the attained worst case and the adversarial trial.  The
@@ -36,6 +42,7 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dualmds.cli import main
 
@@ -43,6 +50,15 @@ DATA = Path(__file__).parent / "data"
 NEARNESS_N40_TRIPLETS_SHA256 = (
     "3238fc26f972ac16f9b6b5756ba499d3f2e28b6b348693c02febcf41af3b8f91"
 )
+NEARNESS_DENSE_SHA256 = {
+    4: "eb06f252e6478c50da749cdc3eb798b3af180201de284b0419ce606d584231df",
+    12: "73b75a890ec84b8c501571635ee1f0aeb464fb1580e1e87ef9843bbb64b0870f",
+    20: "eb7e1b37cf4fd38e1d2f6cc658b1e95b7e11c6ebf696ef2aa0b873cc6b1cf6f8",
+}
+GEN_N50_SHA256 = {
+    "points": "06a4898ee106ab610acbf97d8ff9b523d7d79635ace8859fc210a7ff2a3b0399",
+    "dist": "8f29f926f12d72f0f2796ec5fa566619231c4a7c6e697a573a30f0a2178efaf2",
+}
 EMBED_N200_POINTS_SHA256 = (
     "f13ec99a96af480b8d4b6eb0ffb40c3755ffcd296d1fdf08047a65a06c507580"
 )
@@ -75,6 +91,22 @@ def test_nearness_n40_triplet_export(tmp_path, capsys):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == NEARNESS_N40_TRIPLETS_SHA256
 
+
+@pytest.mark.parametrize("n", sorted(NEARNESS_DENSE_SHA256))
+def test_nearness_dense_export(n, tmp_path, capsys):
+    out = tmp_path / "A.csv"
+    assert main(["nearness", "--n", str(n), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NEARNESS_DENSE_SHA256[n]
+
+
+def test_gen_n50_files(tmp_path, capsys):
+    prefix = tmp_path / "g"
+    assert main(["gen", "--n", "50", "--r", "3", "--seed", "0", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    for kind, expected in GEN_N50_SHA256.items():
+        data = (tmp_path / f"g_{kind}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == expected
 
 
 def write_embed_n200_csv(path: Path) -> None:

@@ -181,6 +181,20 @@ class TestDenseAndSparseAgree:
         with pytest.raises(ResourceLimitError):
             ConstraintMatrix(100).to_dense()
 
+    def test_dense_blocks_refuse_at_the_call(self):
+        # the refusal comes before any block is asked for, so a writer
+        # handed the blocks never opens its file
+        with pytest.raises(ResourceLimitError):
+            ConstraintMatrix(62).dense_blocks(1000)
+
+    @pytest.mark.parametrize("n, entries", [(3, 1), (5, 25), (6, 10**6), (7, 100)])
+    def test_dense_blocks_stack_to_dense(self, n, entries):
+        A = constraint_matrix(n)
+        blocks = list(A.dense_blocks(entries))
+        rows = max(1, entries // A.num_cols)
+        assert [b.shape[0] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.vstack(blocks), oracles.constraint_dense(n))
+
 
 class TestGramIdentity:
     @pytest.mark.parametrize("n", range(3, 11))
