@@ -228,21 +228,17 @@ def overlap_spectrum(n: int) -> np.ndarray:
     return values[:L]
 
 
-def triangular_graph_adjacency(n: int, overlaps: np.ndarray | None = None) -> np.ndarray:
+def triangular_graph_adjacency(n: int) -> np.ndarray:
     """Adjacency matrix of the triangular graph: pairs adjacent iff they meet.
 
     Built independently of :func:`basis_gram`: M M^T counts the vertices
     two pairs share -- 2 on the diagonal, 1 for adjacent pairs, 0 for
     disjoint ones -- instead of comparing endpoints as :func:`basis_gram`
-    does.  ``overlaps`` is M M^T from :func:`pair_overlaps`, when the
-    caller already holds it.  ``basis_gram(n) - 4I`` must equal this
-    matrix exactly.
+    does.  ``basis_gram(n) - 4I`` must equal this matrix exactly.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
-    if overlaps is None:
-        overlaps = pair_overlaps(n)
-    return (overlaps == 1).astype(np.int64)
+    return (pair_overlaps(n) == 1).astype(np.int64)
 
 
 def physical_memory() -> int | None:

@@ -22,13 +22,14 @@ import time
 import numpy as np
 
 from . import _reference
-from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix, integer_deviation,
+from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix, pair_overlaps,
                     require_dense_memory)
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import (CSV_BLOCK_ENTRIES, format_float, read_matrix_csv, write_integer_csv,
                      write_matrix_csv, write_triplets)
 from .mds import CERTIFIED_MIN_N, embed, squared_distances
-from .nearness import NEARNESS_PEAK_ARRAYS, constraint_matrix, singular_value_verdict
+from .nearness import (NEARNESS_PEAK_ARRAYS, constraint_gram_deviation, constraint_matrix,
+                       singular_value_verdict)
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
 from .report import CheckResult, RunReport
 from .stability import noise_experiment
@@ -163,8 +164,8 @@ def cmd_nearness(args) -> int:
             write_triplets(args.out, A.triplets())
         parameters["out"] = args.out
     gram = A.gram()
-    deviation = integer_deviation(basis_gram(args.n).entries, gram, 1, 3 * args.n - 2)
-    sv_ok, groups = singular_value_verdict(args.n, gram)
+    deviation = constraint_gram_deviation(args.n, gram, pair_overlaps(args.n))
+    sv_ok, groups = singular_value_verdict(args.n, gram, deviation == 0)
     checks = [
         CheckResult(
             "shape",

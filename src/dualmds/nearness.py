@@ -6,12 +6,11 @@ choice of the "long" side; stacking their sign patterns over all triples
 gives a sparse constraint matrix A with one +1 and two -1 entries per
 row and one column per vertex pair.
 
-The Gram matrix A^T A relates back to the atom Gram matrix H through the
-exact integer identity A^T A = (3n-2) I - H, which pins A's singular
-values to sqrt(3n-4), sqrt(2n-2) and sqrt(n-2).  Equivalently A^T A =
-(3n-4) I - M M^T with M the pair-vertex incidence matrix; once that holds
-exactly, the singular values are read off the n x n matrix M^T M, and
-only otherwise is A^T A decomposed densely.
+With M the pair-vertex incidence matrix, :func:`constraint_gram_deviation`
+is the one exact integer test, shared by ``verify`` and ``nearness``, of
+A^T A = (3n-4) I - M M^T.  With H = 4I + A_1 = 2I + M M^T (``verify``'s
+``triangular_decomposition``) it gives the paper's A^T A = (3n-2) I - H,
+which pins A's singular values to sqrt(3n-4), sqrt(2n-2) and sqrt(n-2).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_gram, integer_deviation, overlap_spectrum, pair_overlaps
+from .basis import integer_deviation, overlap_spectrum, pair_overlaps
 from .errors import DomainError, ResourceLimitError
 from .pairspace import PairIndex, linear_index, num_pairs, pair_arrays, validate_symmetric
 from .spectral import spectrum_verdict, sym_eigvals
@@ -272,13 +271,20 @@ def constraint_gram(n: int) -> np.ndarray:
     return constraint_matrix(n).gram()
 
 
-def gram_identity_check(n: int) -> tuple[bool, int]:
-    """Verify A^T A = (3n-2) I - H in exact integer arithmetic.
+def constraint_gram_deviation(n: int, gram: np.ndarray, overlaps: np.ndarray) -> int:
+    """max |A^T A + M M^T - (3n-4) I| as an exact integer, 0 when it holds.
 
-    Returns (holds, maximum absolute integer deviation).  The diagonal of
-    A^T A counts the nonzeros per column, 3(n-2).
+    ``gram`` is A^T A, ``overlaps`` M M^T (:func:`~dualmds.basis.pair_overlaps`).
     """
-    deviation = integer_deviation(basis_gram(n).entries, constraint_gram(n), 1, 3 * n - 2)
+    return integer_deviation(gram, overlaps, 1, 3 * n - 4)
+
+
+def gram_identity_check(n: int) -> tuple[bool, int]:
+    """Prove A^T A = (3n-4) I - M M^T in exact integers: (holds, max deviation).
+
+    With H = 2I + M M^T this is the paper's A^T A = (3n-2) I - H.
+    """
+    deviation = constraint_gram_deviation(n, constraint_gram(n), pair_overlaps(n))
     return deviation == 0, deviation
 
 
@@ -303,24 +309,19 @@ def predicted_singular_values(n: int) -> list[tuple[float, int]]:
 
 
 def singular_value_verdict(n: int, gram: np.ndarray,
-                           overlaps: np.ndarray | None = None
-                           ) -> tuple[bool, list[tuple[float, int]]]:
+                           exact: bool) -> tuple[bool, list[tuple[float, int]]]:
     """Verdict on A's singular values, and their groups, from ``gram`` = A^T A.
 
     The singular values are the square roots of the eigenvalues of
     ``gram``, compared with :func:`predicted_singular_values` by
-    :func:`~dualmds.spectral.spectrum_verdict`.  When A^T A = (3n-4) I -
-    M M^T holds exactly, with ``overlaps`` = M M^T
-    (:func:`~dualmds.basis.pair_overlaps`, built here when not given),
-    they are sqrt(3n-4 - mu) over the eigenvalues mu of M M^T, which
+    :func:`~dualmds.spectral.spectrum_verdict`.  ``exact`` is the verdict
+    of :func:`constraint_gram_deviation`; when it holds they are
+    sqrt(3n-4 - mu) over the eigenvalues mu of M M^T, which
     :func:`~dualmds.basis.overlap_spectrum` takes from the n x n matrix
-    M^T M.  Otherwise ``gram`` is decomposed densely, so a failing
-    report shows its actual spectrum.  ``verify`` and ``nearness``
-    report the result under their own check names.
+    M^T M.  Otherwise ``gram`` is decomposed densely, so a failing report
+    shows its actual spectrum.
     """
-    if overlaps is None:
-        overlaps = pair_overlaps(n)
-    if integer_deviation(gram, overlaps, 1, 3 * n - 4) == 0:
+    if exact:
         eigenvalues = (3 * n - 4) - overlap_spectrum(n)[::-1]
     else:
         eigenvalues = sym_eigvals(gram.astype(float))

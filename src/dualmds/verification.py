@@ -9,12 +9,14 @@ constraint-matrix identity with its singular spectrum.
 
 The L x L matrices are built once per run (L = n(n-1)/2 pairs), and none
 is decomposed when the run passes.  With M the L x n pair-vertex
-incidence matrix, the two spectrum checks first test, exactly in
-integers, that H - 2I and (3n-4)I - A^T A equal M M^T; the spectra then
-follow from the n x n matrix M^T M.  When a test fails, the check falls
-back to a dense eigensolve of the matrix itself, so a failing report
-prints its actual spectrum.  Biorthogonality follows the same pattern:
-once the stacked dual-atom factors equal the centering matrix's rows
+incidence matrix, ``triangular_decomposition`` proves H = 4I + A_1 =
+2I + M M^T and ``constraint_gram_identity`` proves A^T A = (3n-4)I -
+M M^T, each by one exact integer test; together they give the paper's
+A^T A = (3n-2)I - H.  Each spectrum check reads its identity's verdict:
+when it holds the spectrum follows from the n x n matrix M^T M, and
+otherwise the matrix is decomposed densely, so a failing report prints
+its actual spectrum.  Biorthogonality follows the same pattern: once
+the stacked dual-atom factors equal the centering matrix's rows
 exactly, the L x L table takes one value per relation class of two
 pairs (equal, sharing one vertex in one of four ways, disjoint), each
 evaluated once; otherwise every entry is evaluated.  The inverse check
@@ -35,7 +37,6 @@ from .basis import (
     dual_atom_eigenpairs,
     dual_atom_factors,
     dual_gram_matrix,
-    triangular_graph_adjacency,
     h_spectrum_predicted,
     incidence_matrix,
     integer_deviation,
@@ -51,7 +52,8 @@ from .mds import (
     procrustes_residual,
     squared_distances,
 )
-from .nearness import ConstraintMatrix, constraint_matrix, singular_value_verdict
+from .nearness import ConstraintMatrix, constraint_gram_deviation, constraint_matrix, \
+    singular_value_verdict
 from .pairspace import PairIndex, PointConfiguration, centering_matrix, linear_index, \
     linear_to_pair, num_pairs, pair_arrays
 from .report import CheckResult
@@ -113,28 +115,26 @@ def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix,
     )
 
 
-def _check_atom_gram_spectrum(n: int, H: np.ndarray,
-                              overlaps: np.ndarray) -> CheckResult:
-    """Spectrum of H, through M^T M once H - 2I = M M^T holds exactly.
+def _check_atom_gram_spectrum(n: int, H: np.ndarray, exact: bool) -> CheckResult:
+    """Spectrum of H: 2 plus that of M M^T when ``exact`` (H = 2I + M M^T holds).
 
-    Then the eigenvalues of H are 2 plus those of M M^T, which
-    :func:`~dualmds.basis.overlap_spectrum` takes from the n x n matrix
-    M^T M.  Otherwise H is decomposed densely, so a failing report shows
-    H's actual spectrum.
+    :func:`~dualmds.basis.overlap_spectrum` takes it from the n x n
+    matrix M^T M.  Otherwise H is decomposed densely, so a failing
+    report shows H's actual spectrum.
     """
     expected = sorted(h_spectrum_predicted(n), key=lambda g: -g[0])
-    if integer_deviation(H, overlaps, -1, 2) == 0:
-        eigenvalues = 2.0 + overlap_spectrum(n)
-    else:
-        eigenvalues = sym_eigvals(H)
+    eigenvalues = 2.0 + overlap_spectrum(n) if exact else sym_eigvals(H)
     ok, groups = spectrum_verdict(eigenvalues, expected)
     return CheckResult("atom_gram_spectrum", ok, {"groups": groups})
 
 
-def _check_triangular_decomposition(n: int, H: np.ndarray,
-                                    overlaps: np.ndarray) -> CheckResult:
-    deviation = integer_deviation(
-        H, triangular_graph_adjacency(n, overlaps=overlaps), -1, 4)
+def _check_triangular_decomposition(H: np.ndarray, overlaps: np.ndarray) -> CheckResult:
+    """H = 4I + A_1 = 2I + M M^T, in exact integers.
+
+    M M^T - 2I is the triangular graph's adjacency A_1 entry by entry:
+    its diagonal is 2, and two distinct pairs share at most one vertex.
+    """
+    deviation = integer_deviation(H, overlaps, -1, 2)
     return CheckResult("triangular_decomposition", deviation == 0,
                        {"max_deviation": deviation})
 
@@ -261,7 +261,7 @@ def _check_dual_gram_inverse(n: int, overlaps: np.ndarray) -> CheckResult:
     With M the L x n incidence matrix, G H = 2G + (G M) M^T, formed in
     O(L^2 n) instead of the O(L^3) dense product; each entry sums n
     products instead of L, so its roundoff is smaller too.  That H is
-    2I + M M^T exactly is the integer test of ``atom_gram_spectrum``.
+    2I + M M^T exactly is the integer test of ``triangular_decomposition``.
     """
     G = dual_gram_matrix(n, overlaps=overlaps)
     M = incidence_matrix(n)
@@ -304,15 +304,15 @@ def _check_embedding_round_trip(n: int, rng: np.random.Generator) -> CheckResult
 
 
 def _check_constraint_gram_identity(n: int, gram: np.ndarray,
-                                    H: np.ndarray) -> CheckResult:
-    deviation = integer_deviation(H, gram, 1, 3 * n - 2)
+                                    overlaps: np.ndarray) -> CheckResult:
+    deviation = constraint_gram_deviation(n, gram, overlaps)
     return CheckResult("constraint_gram_identity", deviation == 0,
                        {"max_deviation": deviation})
 
 
 def _check_constraint_singular_values(n: int, gram: np.ndarray,
-                                      overlaps: np.ndarray) -> CheckResult:
-    ok, groups = singular_value_verdict(n, gram, overlaps)
+                                      exact: bool) -> CheckResult:
+    ok, groups = singular_value_verdict(n, gram, exact)
     return CheckResult("constraint_singular_values", ok, {"groups": groups})
 
 
@@ -322,9 +322,8 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     The run is refused up front when its estimated peak memory exceeds
     physical memory.  The L x L atom Gram matrix H, the pair overlaps
     M M^T and the constraint matrix A with its Gram A^T A are built once
-    and handed to the checks that read them.  A^T A is formed only after
-    the round-trip check and H is released after the identity check, so
-    the two are held together only where a check reads both.
+    and handed to the checks that read them.  H is released before A^T A
+    is formed, after the round-trip check.
     """
     if n < 3:
         raise DomainError(f"verification needs n >= 3, got n={n}")
@@ -332,9 +331,8 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     H = basis_gram(n).entries
     overlaps = pair_overlaps(n)
-    checks: list[CheckResult] = []
-    checks.append(_check_atom_gram_spectrum(n, H, overlaps))
-    checks.append(_check_triangular_decomposition(n, H, overlaps))
+    triangular = _check_triangular_decomposition(H, overlaps)
+    checks = [_check_atom_gram_spectrum(n, H, triangular.passed), triangular]
     checks.append(_check_biorthogonality(n))
     checks.append(_check_dual_atom_spectra(n, rng))
     checks.append(_check_dual_gram_inverse(n, overlaps))
@@ -344,8 +342,9 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     if n == _reference.REFERENCE_N:
         # listed first, but run once A exists
         checks.insert(0, _check_reference_objects(H, A, overlaps))
-    gram = A.gram()
-    checks.append(_check_constraint_gram_identity(n, gram, H))
     del H
-    checks.append(_check_constraint_singular_values(n, gram, overlaps))
+    gram = A.gram()
+    identity = _check_constraint_gram_identity(n, gram, overlaps)
+    checks.append(identity)
+    checks.append(_check_constraint_singular_values(n, gram, identity.passed))
     return checks

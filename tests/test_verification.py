@@ -1,9 +1,11 @@
 """The self-verification suite as a library call."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from dualmds import basis, cli, num_pairs, verification
+from dualmds import basis, cli, nearness, num_pairs, verification
 from dualmds.basis import (
     BasisGram,
     basis_gram,
@@ -17,6 +19,7 @@ from dualmds.nearness import (
     NEARNESS_PEAK_ARRAYS,
     ConstraintMatrix,
     constraint_gram,
+    constraint_gram_deviation,
     predicted_singular_values,
     singular_value_verdict,
 )
@@ -196,7 +199,7 @@ class TestBuildsOncePerRun:
     def test_nearness(self, builds, capsys):
         assert main(["nearness", "--n", "12"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
-        assert builds == {"H": 1, "A": 1, "AtA": 1}
+        assert builds == {"H": 0, "A": 1, "AtA": 1}
 
 
 def _dense_h_verdict(n, H):
@@ -217,13 +220,25 @@ def _bumped(matrix, p=0, q=5):
     return out
 
 
+def _triangular_holds(H, n):
+    return verification._check_triangular_decomposition(H, pair_overlaps(n)).passed
+
+
+def _constraint_identity_holds(gram, n):
+    return constraint_gram_deviation(n, gram, pair_overlaps(n)) == 0
+
+
 class TestIncidenceRoute:
-    """The spectra through M^T M against the dense L x L eigensolve they replace."""
+    """The spectra through M^T M against the dense L x L eigensolve they replace.
+
+    Each spectrum check is handed the verdict of its identity check.
+    """
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_atom_gram_spectrum_equals_dense(self, n):
         H = basis_gram(n).entries
-        result = verification._check_atom_gram_spectrum(n, H, pair_overlaps(n))
+        assert _triangular_holds(H, n)
+        result = verification._check_atom_gram_spectrum(n, H, True)
         assert result.passed is True
         assert repr((result.passed, result.payload["groups"])) \
             == repr(_dense_h_verdict(n, H))
@@ -231,19 +246,16 @@ class TestIncidenceRoute:
     @pytest.mark.parametrize("n", range(3, 41))
     def test_singular_values_equal_dense(self, n):
         gram = constraint_gram(n)
-        structured = singular_value_verdict(n, gram, pair_overlaps(n))
+        assert _constraint_identity_holds(gram, n)
+        structured = singular_value_verdict(n, gram, True)
         assert structured[0] is True
         assert repr(structured) == repr(_dense_singular_verdict(n, gram))
-
-    def test_overlaps_default_to_their_own_build(self):
-        gram = constraint_gram(7)
-        assert singular_value_verdict(7, gram) == \
-            singular_value_verdict(7, gram, pair_overlaps(7))
 
     def test_bumped_atom_gram_fails_with_its_dense_spectrum(self):
         n = 8
         H = _bumped(basis_gram(n).entries)
-        result = verification._check_atom_gram_spectrum(n, H, pair_overlaps(n))
+        assert not _triangular_holds(H, n)
+        result = verification._check_atom_gram_spectrum(n, H, False)
         assert result.passed is False
         dense = _dense_h_verdict(n, H)
         assert dense[0] is False
@@ -253,7 +265,8 @@ class TestIncidenceRoute:
     def test_bumped_constraint_gram_fails_with_its_dense_spectrum(self):
         n = 8
         gram = _bumped(constraint_gram(n))
-        ok, groups = singular_value_verdict(n, gram, pair_overlaps(n))
+        assert not _constraint_identity_holds(gram, n)
+        ok, groups = singular_value_verdict(n, gram, False)
         assert ok is False
         assert (ok, groups) == _dense_singular_verdict(n, gram)
 
@@ -286,6 +299,70 @@ class TestIncidenceRoute:
         assert all(c.passed for c in checks)
 
 
+def _bump_constraint_gram(monkeypatch):
+    """Make every A^T A built from here on a bumped copy."""
+    original = ConstraintMatrix.gram
+    monkeypatch.setattr(ConstraintMatrix, "gram", lambda self: _bumped(original(self)))
+
+
+def _failed(checks):
+    return sorted(c.name for c in checks if not c.passed)
+
+
+class TestEachIdentityTestedOnce:
+    """Each L x L identity is one integer test, run by the check that reports it.
+
+    A broken matrix fails the checks of its own identity and no other.
+    """
+
+    @pytest.fixture
+    def deviation_calls(self, monkeypatch):
+        """The ``integer_deviation`` calls, through any module's binding."""
+        calls = []
+        original = basis.integer_deviation
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dualmds" \
+                    and getattr(module, "integer_deviation", None) is original:
+                monkeypatch.setattr(module, "integer_deviation", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_verify_runs_two_integer_tests(self, deviation_calls, n):
+        assert all(c.passed for c in run_verification(n))
+        assert len(deviation_calls) == 2
+
+    def test_nearness_runs_one_integer_test(self, deviation_calls, capsys):
+        assert main(["nearness", "--n", "12"]) == 0
+        assert len(deviation_calls) == 1
+
+    def test_bumped_constraint_gram_fails_only_the_constraint_checks(self, monkeypatch):
+        _bump_constraint_gram(monkeypatch)
+        assert _failed(run_verification(8)) == ["constraint_gram_identity",
+                                                "constraint_singular_values"]
+
+    def test_bumped_atom_gram_fails_only_the_atom_checks(self, monkeypatch):
+        n = 8
+        bumped = BasisGram(n=n, entries=_bumped(basis_gram(n).entries))
+        monkeypatch.setattr(verification, "basis_gram", lambda n: bumped)
+        assert _failed(run_verification(n)) == ["atom_gram_spectrum",
+                                                "triangular_decomposition"]
+
+    def test_bumped_constraint_gram_fails_the_nearness_run(self, monkeypatch, capsys):
+        n = 8
+        groups = _dense_singular_verdict(n, _bumped(constraint_gram(n)))[1]
+        _bump_constraint_gram(monkeypatch)
+        assert main(["nearness", "--n", str(n)]) == 1
+        lines = [x.strip() for x in capsys.readouterr().out.splitlines()]
+        assert "[FAIL] gram_identity: max_deviation=1" in lines
+        assert f"[FAIL] singular_values: groups={[list(g) for g in groups]}" in lines
+        assert "overall: FAIL" in lines
+
+
 class TestMemoryRefusal:
     """Runs whose estimated peak exceeds physical memory are refused up front."""
 
@@ -314,7 +391,7 @@ class TestMemoryRefusal:
 
     def test_nearness_cli_exits_2_before_allocating(self, tiny_memory, monkeypatch,
                                                     capsys):
-        self._forbid(monkeypatch, cli, "constraint_matrix", "basis_gram")
+        self._forbid(monkeypatch, cli, "constraint_matrix", "basis_gram", "pair_overlaps")
         assert main(["nearness", "--n", "40"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
