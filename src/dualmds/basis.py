@@ -212,6 +212,18 @@ def pair_overlaps(n: int) -> np.ndarray:
     return (M @ M.T).astype(np.uint8)
 
 
+def incidence_gram(n: int) -> np.ndarray:
+    """M^T M as float64, counted from the pairs without building M.
+
+    Entry (u, v) counts the pairs that hold both vertices: n - 1 on the
+    diagonal and 1 off it, so M^T M = (n-2) I + 11^T.  The counts are
+    small integers, so this is the same matrix as ``M.T @ M``.
+    """
+    rows, cols = pair_arrays(n)
+    flat = np.concatenate([rows * (n + 1), cols * (n + 1), rows * n + cols, cols * n + rows])
+    return np.bincount(flat, minlength=n * n).reshape(n, n).astype(np.float64)
+
+
 def overlap_spectrum(n: int) -> np.ndarray:
     """The L eigenvalues of M M^T, descending, from the n x n matrix M^T M.
 
@@ -219,12 +231,14 @@ def overlap_spectrum(n: int) -> np.ndarray:
     n >= 3, so the spectrum of M M^T is that of M^T M followed by L - n
     exact zeros.  M^T M = (n-2) I + 11^T has the eigenvalues n - 2 and
     2n - 2, so the zeros come last; at n = 2 (L = 1) the zero eigenvalue
-    of M^T M is the one dropped.  Only an n x n eigensolve is made.
+    of M^T M is the one dropped.  Only an n x n eigensolve is made, on
+    :func:`incidence_gram`, so no L x n array is built.
     """
-    M = incidence_matrix(n)
+    if n < 2:
+        raise DomainError(f"need at least 2 points, got n={n}")
     L = num_pairs(n)
     values = np.zeros(max(L, n))
-    values[:n] = sym_eigvals(M.T @ M)
+    values[:n] = sym_eigvals(incidence_gram(n))
     return values[:L]
 
 
@@ -255,12 +269,19 @@ def require_dense_memory(n: int, arrays: float, what: str) -> None:
     """Refuse a dense run whose estimated peak exceeds physical memory.
 
     The estimate is ``arrays`` L x L float64 arrays, arrays * L^2 * 8
-    bytes; each caller states its measured ``arrays``.  Called before
-    anything of that size is allocated, so an oversized request ends
-    with :class:`~dualmds.errors.ResourceLimitError` (exit 2), not by
-    exhausting memory.
+    bytes; each caller states its measured ``arrays``.
     """
-    need = arrays * num_pairs(n) ** 2 * 8
+    require_memory(n, arrays * num_pairs(n) ** 2 * 8, what)
+
+
+def require_memory(n: int, need: float, what: str) -> None:
+    """Refuse a run at size n whose estimated peak of ``need`` bytes exceeds
+    physical memory.
+
+    Called before anything of that size is allocated, so an oversized
+    request ends with :class:`~dualmds.errors.ResourceLimitError` (exit
+    2), not by exhausting memory.
+    """
     have = physical_memory()
     if have is not None and need > have:
         raise ResourceLimitError(

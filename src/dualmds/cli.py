@@ -22,13 +22,13 @@ import time
 import numpy as np
 
 from . import _reference
-from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix, pair_overlaps,
-                    require_dense_memory)
+from .basis import basis_atom, basis_gram, dual_atom, dual_gram_matrix, require_memory
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import (CSV_BLOCK_ENTRIES, format_float, read_matrix_csv, write_integer_csv,
                      write_matrix_csv, write_triplets)
 from .mds import CERTIFIED_MIN_N, embed, squared_distances
-from .nearness import (NEARNESS_PEAK_ARRAYS, constraint_gram_deviation, constraint_matrix,
+from .nearness import (NEARNESS_ROW_BYTES, TRIPLET_EXPORT_ROW_BYTES,
+                       constraint_gram_deviation, constraint_matrix, num_constraints,
                        singular_value_verdict)
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
 from .report import CheckResult, RunReport
@@ -154,7 +154,9 @@ def cmd_noise(args) -> int:
 
 def cmd_nearness(args) -> int:
     started = time.perf_counter()
-    require_dense_memory(args.n, NEARNESS_PEAK_ARRAYS, "nearness")
+    triplets = args.out and args.format == "triplets"
+    row_bytes = TRIPLET_EXPORT_ROW_BYTES if triplets else NEARNESS_ROW_BYTES
+    require_memory(args.n, row_bytes * num_constraints(args.n), "nearness")
     A = constraint_matrix(args.n)
     parameters = {"n": args.n, "format": args.format}
     if args.out:
@@ -163,9 +165,8 @@ def cmd_nearness(args) -> int:
         else:
             write_triplets(args.out, A.triplets())
         parameters["out"] = args.out
-    gram = A.gram()
-    deviation = constraint_gram_deviation(args.n, gram, pair_overlaps(args.n))
-    sv_ok, groups = singular_value_verdict(args.n, gram, deviation == 0)
+    deviation = constraint_gram_deviation(A)
+    sv_ok, groups = singular_value_verdict(A, deviation == 0)
     checks = [
         CheckResult(
             "shape",

@@ -11,6 +11,13 @@ is the one exact integer test, shared by ``verify`` and ``nearness``, of
 A^T A = (3n-4) I - M M^T.  With H = 4I + A_1 = 2I + M M^T (``verify``'s
 ``triangular_decomposition``) it gives the paper's A^T A = (3n-2) I - H,
 which pins A's singular values to sqrt(3n-4), sqrt(2n-2) and sqrt(n-2).
+
+The test holds no L x L array when it passes: it first proves, a block
+of rows at a time, that A's rows are exactly the triangle rows, and then
+A^T A lies in the Bose-Mesner algebra of the Johnson scheme J(n, 2), so
+one entry per relation class of two pairs (equal, sharing a vertex,
+disjoint) decides every entry.  Only an A that fails the structure test
+takes the dense route through A^T A and M M^T.
 """
 
 from __future__ import annotations
@@ -19,18 +26,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import integer_deviation, overlap_spectrum, pair_overlaps
+from .basis import (integer_deviation, overlap_spectrum, pair_overlaps,
+                    require_dense_memory)
 from .errors import DomainError, ResourceLimitError
 from .pairspace import PairIndex, linear_index, num_pairs, pair_arrays, validate_symmetric
 from .spectral import spectrum_verdict, sym_eigvals
 
 DENSE_ENTRY_CAP = 200_000_000
-# Peak memory of `dualmds nearness` in L x L float64 arrays (8 L^2 bytes
-# each), for the up-front refusal.  Measured peak RSS without --out: 211 MB
-# at n = 80 and 898 MB at n = 120, a slope of 2.10 arrays; rounded up.
-# Both exports are written a block of rows at a time and add about a block
-# to that (`--n 40 --out A.csv`, a 92 MB file, peaks at 43 MB).
-NEARNESS_PEAK_ARRAYS = 2.2
+# Peak memory of a passing `dualmds nearness` in bytes per constraint row,
+# for the up-front refusal.  Building A is the peak: measured peak RSS
+# 240 MB at n = 200 and 642 MB at n = 300, a slope of 44.7 bytes per row;
+# rounded up.  The triplet export builds all 3 * rows entries at once:
+# 171 MB at n = 120 and 721 MB at n = 200 with `--format triplets --out`,
+# a slope of 186 bytes per row; rounded up.  The dense CSV is written a
+# block of rows at a time and is capped at DENSE_ENTRY_CAP entries.
+NEARNESS_ROW_BYTES = 48
+TRIPLET_EXPORT_ROW_BYTES = 192
+# Peak of the dense route, taken only by an A that fails the structure
+# test, in L x L float64 arrays (8 L^2 bytes each): measured 213 MB at
+# n = 80 and 462 MB at n = 100, a slope of 2.24 arrays; rounded up.
+DENSE_ROUTE_ARRAYS = 2.5
+# Rows per block of the structure test: each int64 temporary stays at 128 KiB
+# (20 ms per test at n = 120, against 25 ms with blocks 4x larger).
+STRUCTURE_BLOCK_ROWS = 1 << 14
 
 
 def num_constraints(n: int) -> int:
@@ -218,6 +236,8 @@ class ConstraintMatrix:
         """
         L = self.num_cols
         slots = (self.pos_col, self.neg_cols[:, 0], self.neg_cols[:, 1])
+        if any(s.size and (s.min() < 0 or s.max() >= L) for s in slots):
+            raise DomainError(f"constraint columns must lie in [0, {L})")
 
         def flat(pairs):
             return np.concatenate([slots[a] * L + slots[b] for a, b in pairs])
@@ -271,12 +291,97 @@ def constraint_gram(n: int) -> np.ndarray:
     return constraint_matrix(n).gram()
 
 
-def constraint_gram_deviation(n: int, gram: np.ndarray, overlaps: np.ndarray) -> int:
-    """max |A^T A + M M^T - (3n-4) I| as an exact integer, 0 when it holds.
+def _colex_rank(lo, mid, hi):
+    """Rank of the 0-based vertex triple lo < mid < hi in colex order.
 
-    ``gram`` is A^T A, ``overlaps`` M M^T (:func:`~dualmds.basis.pair_overlaps`).
+    C(lo, 1) + C(mid, 2) + C(hi, 3), a bijection onto [0, C(n, 3)) that
+    shares nothing with the lexicographic pair order of ``linear_index``.
     """
-    return integer_deviation(gram, overlaps, 1, 3 * n - 4)
+    return lo + mid * (mid - 1) // 2 + hi * (hi - 1) * (hi - 2) // 6
+
+
+def _has_triangle_rows(A: ConstraintMatrix) -> bool:
+    """Whether A's rows are exactly the 3 C(n, 3) triangle rows, each once.
+
+    A triangle row has its +1 on one edge of a vertex triple and its two
+    -1s on the other two: the negative pairs share an apex vertex off
+    the positive pair, and their other ends are the positive pair's
+    vertices.  The key 3 rank(triple) + (the apex's place in the sorted
+    triple) names each triangle row; with 3 C(n, 3) rows, every key in
+    [0, 3 C(n, 3)) must be hit.  The rows may come in any order and the
+    two negatives in either.  Exact, in O(rows), a block of rows at a time.
+    """
+    rows = num_constraints(A.n)
+    if A.pos_col.shape != (rows,) or A.neg_cols.shape != (rows, 2):
+        return False
+    first, second = pair_arrays(A.n)
+    seen = np.zeros(rows, dtype=bool)
+    for start in range(0, rows, STRUCTURE_BLOCK_ROWS):
+        block = slice(start, start + STRUCTURE_BLOCK_ROWS)
+        cols = np.stack([A.pos_col[block], A.neg_cols[block, 0], A.neg_cols[block, 1]])
+        if cols.min() < 0 or cols.max() >= first.size:
+            return False
+        (p_lo, a_lo, b_lo), (p_hi, a_hi, b_hi) = first[cols], second[cols]
+        apex = np.where((a_lo == b_lo) | (a_lo == b_hi), a_lo,
+                        np.where((a_hi == b_lo) | (a_hi == b_hi), a_hi, -1))
+        a_end, b_end = a_lo + a_hi - apex, b_lo + b_hi - apex
+        triangle = ((apex >= 0) & (apex != p_lo) & (apex != p_hi)
+                    & (np.minimum(a_end, b_end) == p_lo)
+                    & (np.maximum(a_end, b_end) == p_hi))
+        if not triangle.all():
+            return False
+        lo, hi = np.minimum(apex, p_lo), np.maximum(apex, p_hi)
+        place = (apex > p_lo).astype(np.int64) + (apex > p_hi)
+        seen[3 * _colex_rank(lo, p_lo + p_hi + apex - lo - hi, hi) + place] = True
+    return bool(seen.all())
+
+
+def _class_deviation(A: ConstraintMatrix) -> int:
+    """max |(A^T A)[alpha, beta] - (3n-4) delta + |alpha & beta||, one beta per class.
+
+    alpha = (1, 2); beta runs over alpha itself, (1, 3) and, from n = 4,
+    (3, 4).  Each entry is read from the 3(n-2) rows that hold alpha.
+    """
+    n = A.n
+    alpha = 0
+    held = np.concatenate([np.flatnonzero(A.pos_col == alpha),
+                           np.flatnonzero(A.neg_cols == alpha) // 2])
+    cols = np.column_stack([A.pos_col[held], A.neg_cols[held]])
+    signs = np.array([1, -1, -1])
+    alpha_sign = (cols == alpha) @ signs
+    classes = [(alpha, 2), (linear_index(1, 3, n) - 1, 1)]
+    if n >= 4:
+        classes.append((linear_index(3, 4, n) - 1, 0))
+    return max(
+        abs(int(alpha_sign @ ((cols == beta) @ signs))
+            - (3 * n - 4) * (beta == alpha) + overlap)
+        for beta, overlap in classes
+    )
+
+
+def constraint_gram_deviation(A: ConstraintMatrix) -> int:
+    """max |A^T A + M M^T - (3n-4) I| over all L^2 entries, an exact integer.
+
+    0 when the identity holds.  Lemma: when A's rows are exactly the
+    triangle rows (:func:`_has_triangle_rows`), A^T A is the sum over
+    vertex triples T of 4I - 11^T on T's three edges, since T's rows are
+    2e_s - (e_1 + e_2 + e_3) in T's edge coordinates.  So an entry
+    depends only on how its pairs alpha and beta meet: 3(n-2) when they
+    are equal (alpha lies in n - 2 triples), -1 when they share one
+    vertex (one common triple) and 0 when they are disjoint.  (3n-4) I -
+    M M^T takes one value per class as well, so one entry per class
+    (:func:`_class_deviation`) gives the exact maximum over all L^2
+    entries.  An A that fails the structure test takes the dense route,
+    A^T A against :func:`~dualmds.basis.pair_overlaps` in
+    :func:`~dualmds.basis.integer_deviation`, so a failing report gives
+    the actual deviation; sizes the dense route cannot hold are refused
+    with :class:`~dualmds.errors.ResourceLimitError`.
+    """
+    if _has_triangle_rows(A):
+        return _class_deviation(A)
+    require_dense_memory(A.n, DENSE_ROUTE_ARRAYS, "the dense constraint-Gram route")
+    overlaps = pair_overlaps(A.n)
+    return integer_deviation(A.gram(), overlaps, 1, 3 * A.n - 4)
 
 
 def gram_identity_check(n: int) -> tuple[bool, int]:
@@ -284,7 +389,7 @@ def gram_identity_check(n: int) -> tuple[bool, int]:
 
     With H = 2I + M M^T this is the paper's A^T A = (3n-2) I - H.
     """
-    deviation = constraint_gram_deviation(n, constraint_gram(n), pair_overlaps(n))
+    deviation = constraint_gram_deviation(constraint_matrix(n))
     return deviation == 0, deviation
 
 
@@ -308,23 +413,25 @@ def predicted_singular_values(n: int) -> list[tuple[float, int]]:
     return kept
 
 
-def singular_value_verdict(n: int, gram: np.ndarray,
+def singular_value_verdict(A: ConstraintMatrix,
                            exact: bool) -> tuple[bool, list[tuple[float, int]]]:
-    """Verdict on A's singular values, and their groups, from ``gram`` = A^T A.
+    """Verdict on A's singular values, and their groups.
 
     The singular values are the square roots of the eigenvalues of
-    ``gram``, compared with :func:`predicted_singular_values` by
+    A^T A, compared with :func:`predicted_singular_values` by
     :func:`~dualmds.spectral.spectrum_verdict`.  ``exact`` is the verdict
     of :func:`constraint_gram_deviation`; when it holds they are
     sqrt(3n-4 - mu) over the eigenvalues mu of M M^T, which
     :func:`~dualmds.basis.overlap_spectrum` takes from the n x n matrix
-    M^T M.  Otherwise ``gram`` is decomposed densely, so a failing report
-    shows its actual spectrum.
+    M^T M.  Otherwise A^T A is built and decomposed densely, so a
+    failing report shows its actual spectrum.
     """
+    n = A.n
     if exact:
         eigenvalues = (3 * n - 4) - overlap_spectrum(n)[::-1]
     else:
-        eigenvalues = sym_eigvals(gram.astype(float))
+        require_dense_memory(n, DENSE_ROUTE_ARRAYS, "the dense constraint-Gram route")
+        eigenvalues = sym_eigvals(A.gram().astype(float))
     singular = np.sqrt(np.clip(eigenvalues, 0.0, None))
     return spectrum_verdict(singular, predicted_singular_values(n))
 

@@ -12,14 +12,16 @@ is decomposed when the run passes.  With M the L x n pair-vertex
 incidence matrix, ``triangular_decomposition`` proves H = 4I + A_1 =
 2I + M M^T and ``constraint_gram_identity`` proves A^T A = (3n-4)I -
 M M^T, each by one exact integer test; together they give the paper's
-A^T A = (3n-2)I - H.  Each spectrum check reads its identity's verdict:
-when it holds the spectrum follows from the n x n matrix M^T M, and
-otherwise the matrix is decomposed densely, so a failing report prints
-its actual spectrum.  Biorthogonality follows the same pattern: once
-the stacked dual-atom factors equal the centering matrix's rows
-exactly, the L x L table takes one value per relation class of two
-pairs (equal, sharing one vertex in one of four ways, disjoint), each
-evaluated once; otherwise every entry is evaluated.  The inverse check
+A^T A = (3n-2)I - H.  The second test reads A's rows, and forms A^T A
+only when they are not exactly the triangle rows.  Each spectrum check
+reads its identity's verdict: when it holds the spectrum follows from
+the n x n matrix M^T M, and otherwise the matrix is decomposed densely,
+so a failing report prints its actual spectrum.  Biorthogonality
+follows the same pattern: once the stacked dual-atom factors equal the
+centering matrix's rows exactly, the L x L table takes one value per
+relation class of two pairs (equal, sharing one vertex in one of four
+ways, disjoint), each evaluated once; otherwise every entry is
+evaluated.  The inverse check
 forms G H as 2G + (G M) M^T, O(L^2 n) instead of O(L^3).  A run whose
 estimated peak memory exceeds physical memory is refused before
 anything is allocated.
@@ -303,16 +305,14 @@ def _check_embedding_round_trip(n: int, rng: np.random.Generator) -> CheckResult
                        {"max_relative_residual": worst})
 
 
-def _check_constraint_gram_identity(n: int, gram: np.ndarray,
-                                    overlaps: np.ndarray) -> CheckResult:
-    deviation = constraint_gram_deviation(n, gram, overlaps)
+def _check_constraint_gram_identity(A: ConstraintMatrix) -> CheckResult:
+    deviation = constraint_gram_deviation(A)
     return CheckResult("constraint_gram_identity", deviation == 0,
                        {"max_deviation": deviation})
 
 
-def _check_constraint_singular_values(n: int, gram: np.ndarray,
-                                      exact: bool) -> CheckResult:
-    ok, groups = singular_value_verdict(n, gram, exact)
+def _check_constraint_singular_values(A: ConstraintMatrix, exact: bool) -> CheckResult:
+    ok, groups = singular_value_verdict(A, exact)
     return CheckResult("constraint_singular_values", ok, {"groups": groups})
 
 
@@ -321,9 +321,9 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
 
     The run is refused up front when its estimated peak memory exceeds
     physical memory.  The L x L atom Gram matrix H, the pair overlaps
-    M M^T and the constraint matrix A with its Gram A^T A are built once
-    and handed to the checks that read them.  H is released before A^T A
-    is formed, after the round-trip check.
+    M M^T and the constraint matrix A are built once and handed to the
+    checks that read them.  H is released after the round-trip check; a
+    passing run never forms A^T A.
     """
     if n < 3:
         raise DomainError(f"verification needs n >= 3, got n={n}")
@@ -343,8 +343,7 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
         # listed first, but run once A exists
         checks.insert(0, _check_reference_objects(H, A, overlaps))
     del H
-    gram = A.gram()
-    identity = _check_constraint_gram_identity(n, gram, overlaps)
+    identity = _check_constraint_gram_identity(A)
     checks.append(identity)
-    checks.append(_check_constraint_singular_values(n, gram, identity.passed))
+    checks.append(_check_constraint_singular_values(A, identity.passed))
     return checks

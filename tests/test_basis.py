@@ -22,6 +22,7 @@ from dualmds import (
 )
 from dualmds.basis import (
     dual_atom_factors,
+    incidence_gram,
     incidence_matrix,
     integer_deviation,
     overlap_spectrum,
@@ -30,6 +31,7 @@ from dualmds.basis import (
 from dualmds import basis
 from dualmds.pairspace import pair_arrays
 from dualmds.errors import DomainError, ResourceLimitError
+from dualmds.spectral import sym_eigvals
 
 import oracles
 
@@ -294,6 +296,16 @@ class TestPairOverlaps:
         for build in (pair_overlaps, triangular_graph_adjacency, dual_gram_matrix):
             with pytest.raises(ResourceLimitError):
                 build(201)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_counted_incidence_gram_is_the_product(self, n):
+        M = incidence_matrix(n)
+        G = incidence_gram(n)
+        assert G.dtype == np.float64
+        np.testing.assert_array_equal(G, M.T @ M)
+        product_route = np.zeros(max(num_pairs(n), n))
+        product_route[:n] = sym_eigvals(M.T @ M)
+        assert overlap_spectrum(n).tobytes() == product_route[:num_pairs(n)].tobytes()
 
     @pytest.mark.parametrize("n", range(3, 16))
     def test_spectrum_matches_dense_decomposition(self, n):

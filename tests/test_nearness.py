@@ -23,7 +23,9 @@ from dualmds import (
     violations,
 )
 from dualmds.errors import DomainError, ResourceLimitError
-from dualmds.basis import integer_deviation
+from dualmds.basis import integer_deviation, pair_overlaps
+from dualmds.nearness import _has_triangle_rows, constraint_gram_deviation
+from dualmds.pairspace import pair_arrays
 
 import oracles
 
@@ -247,6 +249,80 @@ class TestGramIdentity:
         assert integer_deviation(H, gram, 1, 3 * n - 2) == 0
         gram[entry] -= 3
         assert integer_deviation(H, gram, 1, 3 * n - 2) == 3
+
+
+def _with_columns(A, pos, neg):
+    """A constraint matrix for A's n with the given column arrays."""
+    B = object.__new__(ConstraintMatrix)
+    B.n, B.triples, B.pos_col, B.neg_cols = A.n, A.triples, pos, neg
+    return B
+
+
+def _dense_deviation(A):
+    """The oracle: every entry of A^T A + M M^T - (3n-4) I."""
+    return integer_deviation(A.gram(), pair_overlaps(A.n), 1, 3 * A.n - 4)
+
+
+def _mutated(A, kind, r):
+    """A copy of A with row r broken in one way."""
+    pos, neg = A.pos_col.copy(), A.neg_cols.copy()
+    if kind == "swap_positive_and_negative":
+        pos[r], neg[r, 0] = neg[r, 0], pos[r]
+    elif kind == "disjoint_negative":
+        first, second = pair_arrays(A.n)
+        ends = {first[pos[r]], second[pos[r]]}
+        neg[r, 1] = next(c for c in range(A.num_cols)
+                         if not ends & {first[c], second[c]})
+    elif kind == "equal_negatives":
+        neg[r, 1] = neg[r, 0]
+    elif kind == "duplicated_row":
+        s = (r + 1) % A.num_rows
+        pos[s], neg[s] = pos[r], neg[r]
+    return _with_columns(A, pos, neg)
+
+
+class TestStructuralRoute:
+    """The constraint-Gram test by A's row structure, against the dense route."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_equals_the_dense_oracle(self, n):
+        A = constraint_matrix(n)
+        assert _has_triangle_rows(A)
+        assert constraint_gram_deviation(A) == _dense_deviation(A) == 0
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_row_order_and_negative_order_are_free(self, n):
+        A = constraint_matrix(n)
+        order = np.random.default_rng(n).permutation(A.num_rows)
+        B = _with_columns(A, A.pos_col[order], A.neg_cols[order][:, ::-1])
+        assert _has_triangle_rows(B)
+        assert constraint_gram_deviation(B) == 0
+
+    @pytest.mark.parametrize("kind", ["swap_positive_and_negative", "disjoint_negative",
+                                      "equal_negatives", "duplicated_row"])
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_mutation_fails_and_falls_back_to_the_oracle(self, n, kind):
+        A = constraint_matrix(n)
+        for r in (0, A.num_rows // 2, A.num_rows - 1):
+            B = _mutated(A, kind, r)
+            assert not _has_triangle_rows(B)
+            deviation = constraint_gram_deviation(B)
+            assert deviation == _dense_deviation(B) > 0
+
+    @pytest.mark.parametrize("column", [-1, 10])
+    def test_column_out_of_range_is_refused(self, column):
+        A = constraint_matrix(5)
+        pos = A.pos_col.copy()
+        pos[3] = column
+        B = _with_columns(A, pos, A.neg_cols)
+        assert not _has_triangle_rows(B)
+        with pytest.raises(DomainError, match="columns must lie"):
+            constraint_gram_deviation(B)
+
+    def test_missing_row_fails(self):
+        A = constraint_matrix(6)
+        B = _with_columns(A, A.pos_col[:-1], A.neg_cols[:-1])
+        assert not _has_triangle_rows(B)
 
 
 class TestPredictedSingularValues:

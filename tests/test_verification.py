@@ -11,15 +11,19 @@ from dualmds.basis import (
     basis_gram,
     dual_gram_matrix,
     h_spectrum_predicted,
+    integer_deviation,
     pair_overlaps,
     require_dense_memory,
+    require_memory,
 )
 from dualmds.cli import main
 from dualmds.nearness import (
-    NEARNESS_PEAK_ARRAYS,
+    NEARNESS_ROW_BYTES,
+    TRIPLET_EXPORT_ROW_BYTES,
     ConstraintMatrix,
-    constraint_gram,
     constraint_gram_deviation,
+    constraint_matrix,
+    num_constraints,
     predicted_singular_values,
     singular_value_verdict,
 )
@@ -194,12 +198,12 @@ class TestBuildsOncePerRun:
     def test_verify(self, builds, n):
         checks = run_verification(n)
         assert all(c.passed for c in checks)
-        assert builds == {"H": 1, "A": 1, "AtA": 1}
+        assert builds == {"H": 1, "A": 1, "AtA": 0}
 
     def test_nearness(self, builds, capsys):
         assert main(["nearness", "--n", "12"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
-        assert builds == {"H": 0, "A": 1, "AtA": 1}
+        assert builds == {"H": 0, "A": 1, "AtA": 0}
 
 
 def _dense_h_verdict(n, H):
@@ -224,8 +228,20 @@ def _triangular_holds(H, n):
     return verification._check_triangular_decomposition(H, pair_overlaps(n)).passed
 
 
-def _constraint_identity_holds(gram, n):
-    return constraint_gram_deviation(n, gram, pair_overlaps(n)) == 0
+def _corrupted(A, r=7):
+    """A with row r's positive column swapped with its first negative one.
+
+    The row is still a triangle row, but its (triple, apex) key is taken
+    twice, and two off-diagonal entries of A^T A move by 2.
+    """
+    pos, neg = A.pos_col.copy(), A.neg_cols.copy()
+    pos[r], neg[r, 0] = neg[r, 0], pos[r]
+    A.pos_col, A.neg_cols = pos, neg
+    return A
+
+
+def _dense_constraint_deviation(A):
+    return integer_deviation(A.gram(), pair_overlaps(A.n), 1, 3 * A.n - 4)
 
 
 class TestIncidenceRoute:
@@ -245,11 +261,11 @@ class TestIncidenceRoute:
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_singular_values_equal_dense(self, n):
-        gram = constraint_gram(n)
-        assert _constraint_identity_holds(gram, n)
-        structured = singular_value_verdict(n, gram, True)
+        A = constraint_matrix(n)
+        assert constraint_gram_deviation(A) == 0
+        structured = singular_value_verdict(A, True)
         assert structured[0] is True
-        assert repr(structured) == repr(_dense_singular_verdict(n, gram))
+        assert repr(structured) == repr(_dense_singular_verdict(n, A.gram()))
 
     def test_bumped_atom_gram_fails_with_its_dense_spectrum(self):
         n = 8
@@ -263,12 +279,11 @@ class TestIncidenceRoute:
         assert result.payload["groups"] != _dense_h_verdict(n, basis_gram(n).entries)[1]
 
     def test_bumped_constraint_gram_fails_with_its_dense_spectrum(self):
-        n = 8
-        gram = _bumped(constraint_gram(n))
-        assert not _constraint_identity_holds(gram, n)
-        ok, groups = singular_value_verdict(n, gram, False)
+        A = _corrupted(constraint_matrix(8))
+        assert constraint_gram_deviation(A) == 2
+        ok, groups = singular_value_verdict(A, False)
         assert ok is False
-        assert (ok, groups) == _dense_singular_verdict(n, gram)
+        assert (ok, groups) == _dense_singular_verdict(A.n, A.gram())
 
     def test_bumped_atom_gram_fails_the_cli_run(self, monkeypatch, capsys):
         n = 8
@@ -299,10 +314,15 @@ class TestIncidenceRoute:
         assert all(c.passed for c in checks)
 
 
-def _bump_constraint_gram(monkeypatch):
-    """Make every A^T A built from here on a bumped copy."""
-    original = ConstraintMatrix.gram
-    monkeypatch.setattr(ConstraintMatrix, "gram", lambda self: _bumped(original(self)))
+def _corrupt_every_constraint_matrix(monkeypatch):
+    """Make every A built from here on corrupt, which bumps its A^T A."""
+    original = ConstraintMatrix.__init__
+
+    def corrupt(self, n):
+        original(self, n)
+        _corrupted(self)
+
+    monkeypatch.setattr(ConstraintMatrix, "__init__", corrupt)
 
 
 def _failed(checks):
@@ -332,16 +352,31 @@ class TestEachIdentityTestedOnce:
         return calls
 
     @pytest.mark.parametrize("n", [4, 12])
-    def test_verify_runs_two_integer_tests(self, deviation_calls, n):
+    def test_verify_runs_one_dense_integer_test(self, deviation_calls, n):
+        # the constraint identity is proved from A's rows, with no L x L array
         assert all(c.passed for c in run_verification(n))
-        assert len(deviation_calls) == 2
-
-    def test_nearness_runs_one_integer_test(self, deviation_calls, capsys):
-        assert main(["nearness", "--n", "12"]) == 0
         assert len(deviation_calls) == 1
 
+    def test_nearness_runs_no_dense_integer_test(self, deviation_calls, capsys):
+        assert main(["nearness", "--n", "12"]) == 0
+        assert len(deviation_calls) == 0
+
+    def test_passing_nearness_builds_no_pair_sized_array(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pair-sized array on the passing route")
+
+        names = ("integer_deviation", "pair_overlaps", "incidence_matrix")
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dualmds":
+                for attr in names:
+                    if getattr(module, attr, None) is getattr(basis, attr):
+                        monkeypatch.setattr(module, attr, forbidden)
+        monkeypatch.setattr(ConstraintMatrix, "gram", forbidden)
+        assert main(["nearness", "--n", "12"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_bumped_constraint_gram_fails_only_the_constraint_checks(self, monkeypatch):
-        _bump_constraint_gram(monkeypatch)
+        _corrupt_every_constraint_matrix(monkeypatch)
         assert _failed(run_verification(8)) == ["constraint_gram_identity",
                                                 "constraint_singular_values"]
 
@@ -354,11 +389,14 @@ class TestEachIdentityTestedOnce:
 
     def test_bumped_constraint_gram_fails_the_nearness_run(self, monkeypatch, capsys):
         n = 8
-        groups = _dense_singular_verdict(n, _bumped(constraint_gram(n)))[1]
-        _bump_constraint_gram(monkeypatch)
+        A = _corrupted(constraint_matrix(n))
+        deviation = _dense_constraint_deviation(A)
+        groups = _dense_singular_verdict(n, A.gram())[1]
+        _corrupt_every_constraint_matrix(monkeypatch)
         assert main(["nearness", "--n", str(n)]) == 1
         lines = [x.strip() for x in capsys.readouterr().out.splitlines()]
-        assert "[FAIL] gram_identity: max_deviation=1" in lines
+        assert deviation == 2
+        assert f"[FAIL] gram_identity: max_deviation={deviation}" in lines
         assert f"[FAIL] singular_values: groups={[list(g) for g in groups]}" in lines
         assert "overall: FAIL" in lines
 
@@ -391,7 +429,7 @@ class TestMemoryRefusal:
 
     def test_nearness_cli_exits_2_before_allocating(self, tiny_memory, monkeypatch,
                                                     capsys):
-        self._forbid(monkeypatch, cli, "constraint_matrix", "basis_gram", "pair_overlaps")
+        self._forbid(monkeypatch, cli, "constraint_matrix", "basis_gram")
         assert main(["nearness", "--n", "40"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
@@ -411,7 +449,41 @@ class TestMemoryRefusal:
         with pytest.raises(ResourceLimitError):
             require_dense_memory(200, VERIFY_PEAK_ARRAYS, "verify")
         require_dense_memory(120, VERIFY_PEAK_ARRAYS, "verify")
-        require_dense_memory(120, NEARNESS_PEAK_ARRAYS, "nearness")
+
+    def test_nearness_is_sized_by_rows(self, monkeypatch):
+        # past the dense pair cap (n = 300, 44850 pairs), nearness fits in
+        # 8.2 GB with or without the triplet export; the estimate is linear
+        # in the constraint rows, so n = 800 does not
+        monkeypatch.setattr(basis, "physical_memory", lambda: 8_200_000_000)
+        for row_bytes in (NEARNESS_ROW_BYTES, TRIPLET_EXPORT_ROW_BYTES):
+            require_memory(300, row_bytes * num_constraints(300), "nearness")
+            with pytest.raises(ResourceLimitError):
+                require_memory(800, row_bytes * num_constraints(800), "nearness")
+
+    @pytest.mark.parametrize("argv, row_bytes", [
+        ([], NEARNESS_ROW_BYTES),
+        (["--format", "triplets", "--out", "t.txt"], TRIPLET_EXPORT_ROW_BYTES),
+    ])
+    def test_nearness_estimate_at_the_boundary(self, monkeypatch, tmp_path, capsys,
+                                               argv, row_bytes):
+        monkeypatch.chdir(tmp_path)
+        need = row_bytes * num_constraints(12)
+        monkeypatch.setattr(basis, "physical_memory", lambda: need)
+        assert main(["nearness", "--n", "12", *argv]) == 0
+        monkeypatch.setattr(basis, "physical_memory", lambda: need - 1)
+        assert main(["nearness", "--n", "12", *argv]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_failing_structure_beyond_memory_exits_2(self, monkeypatch, capsys):
+        # the dense route a corrupt A falls back to is refused up front
+        n = 40
+        _corrupt_every_constraint_matrix(monkeypatch)
+        monkeypatch.setattr(basis, "physical_memory",
+                            lambda: NEARNESS_ROW_BYTES * num_constraints(n))
+        assert main(["nearness", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dense constraint-Gram route" in captured.err
 
     def test_unknown_memory_refuses_nothing(self, monkeypatch):
         monkeypatch.setattr(basis, "physical_memory", lambda: None)
