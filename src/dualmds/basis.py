@@ -22,6 +22,7 @@ L x L eigensolve is needed where M M^T is known exactly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,10 +256,22 @@ def triangular_graph_adjacency(n: int) -> np.ndarray:
     return (pair_overlaps(n) == 1).astype(np.int64)
 
 
-def physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not report it."""
-    import os
+MEMINFO = "/proc/meminfo"
 
+
+def available_memory() -> int | None:
+    """Bytes of memory available to a new run, or None where it is not known.
+
+    ``MemAvailable`` from MEMINFO where the kernel reports it, else the
+    physical memory, SC_PAGE_SIZE * SC_PHYS_PAGES.
+    """
+    try:
+        with open(MEMINFO) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -266,7 +279,7 @@ def physical_memory() -> int | None:
 
 
 def require_dense_memory(n: int, arrays: float, what: str) -> None:
-    """Refuse a dense run whose estimated peak exceeds physical memory.
+    """Refuse a dense run whose estimated peak exceeds available memory.
 
     The estimate is ``arrays`` L x L float64 arrays, arrays * L^2 * 8
     bytes; each caller states its measured ``arrays``.
@@ -276,17 +289,17 @@ def require_dense_memory(n: int, arrays: float, what: str) -> None:
 
 def require_memory(n: int, need: float, what: str) -> None:
     """Refuse a run at size n whose estimated peak of ``need`` bytes exceeds
-    physical memory.
+    available memory.
 
     Called before anything of that size is allocated, so an oversized
     request ends with :class:`~dualmds.errors.ResourceLimitError` (exit
     2), not by exhausting memory.
     """
-    have = physical_memory()
+    have = available_memory()
     if have is not None and need > have:
         raise ResourceLimitError(
             f"{what} at n={n} needs about {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
+            f"more than the {have / 2**30:.1f} GiB of available memory"
         )
 
 

@@ -4,7 +4,9 @@ A dissimilarity matrix holds plain (not squared) distances.  For every
 vertex triple {i < j < k} there are three triangle inequalities, one per
 choice of the "long" side; stacking their sign patterns over all triples
 gives a sparse constraint matrix A with one +1 and two -1 entries per
-row and one column per vertex pair.
+row and one column per vertex pair.  A is stored as the three edge
+columns of each triple; row s of a triple's block is +1 on edge s and
+-1 on the other two.
 
 With M the pair-vertex incidence matrix, :func:`constraint_gram_deviation`
 is the one exact integer test, shared by ``verify`` and ``nearness``, of
@@ -12,8 +14,10 @@ A^T A = (3n-4) I - M M^T.  With H = 4I + A_1 = 2I + M M^T (``verify``'s
 ``triangular_decomposition``) it gives the paper's A^T A = (3n-2) I - H,
 which pins A's singular values to sqrt(3n-4), sqrt(2n-2) and sqrt(n-2).
 
-The test holds no L x L array when it passes: it first proves, a block
-of rows at a time, that A's rows are exactly the triangle rows, and then
+The lemma behind it: a triple's three rows add 4I - 11^T on its edge
+columns, so A^T A is the sum of these blocks over the triples.  The test
+holds no L x L array when it passes: it first proves, a block of triples
+at a time, that A's triples are exactly the vertex triples, and then
 A^T A lies in the Bose-Mesner algebra of the Johnson scheme J(n, 2), so
 one entry per relation class of two pairs (equal, sharing a vertex,
 disjoint) decides every entry.  Only an A that fails the structure test
@@ -29,26 +33,28 @@ import numpy as np
 from .basis import (integer_deviation, overlap_spectrum, pair_overlaps,
                     require_dense_memory)
 from .errors import DomainError, ResourceLimitError
-from .pairspace import PairIndex, linear_index, num_pairs, pair_arrays, validate_symmetric
+from .pairspace import (PairIndex, linear_index, linear_to_pair, num_pairs, pair_arrays,
+                        pair_to_linear, validate_symmetric)
 from .spectral import spectrum_verdict, sym_eigvals
 
 DENSE_ENTRY_CAP = 200_000_000
 # Peak memory of a passing `dualmds nearness` in bytes per constraint row,
-# for the up-front refusal.  Building A is the peak: measured peak RSS
-# 240 MB at n = 200 and 642 MB at n = 300, a slope of 44.7 bytes per row;
-# rounded up.  The triplet export builds all 3 * rows entries at once:
-# 171 MB at n = 120 and 721 MB at n = 200 with `--format triplets --out`,
-# a slope of 186 bytes per row; rounded up.  The dense CSV is written a
-# block of rows at a time and is capped at DENSE_ENTRY_CAP entries.
-NEARNESS_ROW_BYTES = 48
-TRIPLET_EXPORT_ROW_BYTES = 192
+# for the up-front refusal.  Building ``edges`` (8 bytes per row) is the
+# peak: measured peak RSS 81 MB at n = 200 and 201 MB at n = 300, a slope
+# of 13.4 bytes per row; rounded up.  The triplet export fills one array
+# of all 3 * rows entries: 104 MB at n = 120 and 374 MB at n = 200 with
+# `--format triplets --out`, a slope of 91.4 bytes per row; rounded up.
+# The dense CSV is written a block of rows at a time and is capped at
+# DENSE_ENTRY_CAP entries.
+NEARNESS_ROW_BYTES = 16
+TRIPLET_EXPORT_ROW_BYTES = 96
 # Peak of the dense route, taken only by an A that fails the structure
 # test, in L x L float64 arrays (8 L^2 bytes each): measured 213 MB at
 # n = 80 and 462 MB at n = 100, a slope of 2.24 arrays; rounded up.
 DENSE_ROUTE_ARRAYS = 2.5
-# Rows per block of the structure test: each int64 temporary stays at 128 KiB
-# (20 ms per test at n = 120, against 25 ms with blocks 4x larger).
-STRUCTURE_BLOCK_ROWS = 1 << 14
+# Triples per block of the structure test: each int64 temporary stays at
+# 384 KiB.
+STRUCTURE_BLOCK_TRIPLES = 1 << 14
 
 
 def num_constraints(n: int) -> int:
@@ -94,62 +100,56 @@ class ConstraintViolation:
     slack: float
 
 
-def _lex_triples(n: int) -> np.ndarray:
-    """All 1-based vertex triples i < j < k in lexicographic order, as int64 rows.
+def _lex_edges(n: int) -> np.ndarray:
+    """0-based columns of the edges ij, ik, jk of every vertex triple i < j < k.
 
-    Pair (i, j), in the lexicographic order of
+    Triples come in lexicographic order: pair ij, in the order of
     :func:`~dualmds.pairspace.pair_arrays`, is followed by k = j+1 ... n,
-    so each pair is repeated n - j times and k counts up from j + 1
-    within its run.
+    so its column repeats n - j times, while the columns of ik and jk
+    step by one along that run from those of (i, j+1) and (j, j+1).
     """
-    rows, cols = pair_arrays(n)
-    lengths = n - 1 - cols
-    starts = np.cumsum(lengths) - lengths
-    i = np.repeat(rows, lengths)
-    j = np.repeat(cols, lengths)
-    k = np.arange(i.size) - np.repeat(starts, lengths) + j + 1
-    return np.stack([i, j, k], axis=1) + 1
+    _, second = pair_arrays(n)
+    runs = n - 1 - second
+    columns = np.arange(second.size)
+    edges = np.repeat(np.stack([columns, columns + 1,
+                                linear_index(second + 1, second + 2, n) - 1], axis=1),
+                      runs, axis=0)
+    edges[:, 1:] += (np.arange(edges.shape[0])
+                     - np.repeat(np.cumsum(runs) - runs, runs))[:, None]
+    return edges
+
+
+# Row s of a triple's block in the triple's edge coordinates: +1 on edge s,
+# -1 on the other two, 2 e_s - (e_0 + e_1 + e_2).
+SIGNS = 2 * np.eye(3, dtype=np.int64) - 1
 
 
 class ConstraintMatrix:
     """Sparse signed constraint matrix: 3 * C(n, 3) rows, L columns.
 
-    Rows come in blocks of three per vertex triple, triples enumerated
-    lexicographically; within a block the positive pair cycles through
-    (i,j), (i,k), (j,k).  Storage is one column index per signed entry
-    (0-based internally): ``pos_col`` carries the +1 of each row,
-    ``neg_cols`` the two -1s.
+    Stored as one read-only int64 array, ``edges``, of shape (C(n, 3), 3):
+    row t holds the 0-based columns of triple t's edges (i,j), (i,k),
+    (j,k), triples enumerated lexicographically.  Row 3t + s of A puts
+    +1 on edge s and -1 on the other two (``SIGNS[s]``), so every row is
+    a triangle row by construction and nothing else is stored per row.
 
     The columns are the closed form of
-    :func:`~dualmds.pairspace.pair_to_linear` evaluated on the whole
-    triple arrays at once; construction builds no per-edge
-    :class:`PairIndex` objects.
+    :func:`~dualmds.pairspace.pair_to_linear` evaluated on whole arrays
+    at once; construction builds no per-edge :class:`PairIndex` objects.
     """
 
-    __slots__ = ("n", "triples", "pos_col", "neg_cols")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int):
         if n < 3:
             raise DomainError(f"triangle constraints need n >= 3, got n={n}")
         self.n = n
-        self.triples = _lex_triples(n)
-        i, j, k = self.triples.T
-        lin = np.stack(
-            [linear_index(i, j, n), linear_index(i, k, n), linear_index(j, k, n)],
-            axis=1,
-        ) - 1
-        # slot s makes edge s positive and the other two negative
-        self.pos_col = lin.reshape(-1)
-        self.neg_cols = np.stack(
-            [lin[:, [1, 0, 0]].reshape(-1), lin[:, [2, 2, 1]].reshape(-1)], axis=1
-        )
-        self.pos_col.setflags(write=False)
-        self.neg_cols.setflags(write=False)
-        self.triples.setflags(write=False)
+        self.edges = _lex_edges(n)
+        self.edges.setflags(write=False)
 
     @property
     def num_rows(self) -> int:
-        return self.pos_col.shape[0]
+        return 3 * self.edges.shape[0]
 
     @property
     def num_cols(self) -> int:
@@ -159,25 +159,23 @@ class ConstraintMatrix:
         """The triangle inequality at 1-based row index ``row``."""
         if not 1 <= row <= self.num_rows:
             raise DomainError(f"row {row} out of range [1, {self.num_rows}]")
-        i, j, k = (int(v) for v in self.triples[(row - 1) // 3])
-        slot = (row - 1) % 3
-        edges = (
-            PairIndex(i, j, self.n),
-            PairIndex(i, k, self.n),
-            PairIndex(j, k, self.n),
-        )
-        others = tuple(e for s, e in enumerate(edges) if s != slot)
-        return TripleConstraint(positive=edges[slot], negatives=others)
+        t, slot = divmod(row - 1, 3)
+        ij, ik, _ = (int(c) for c in self.edges[t])
+        first = linear_to_pair(ij + 1, self.n)
+        # edges ij and ik lie k - j apart in the lexicographic pair order
+        i, j, k = first.i, first.j, first.j + ik - ij
+        edges = [first, PairIndex(i, k, self.n), PairIndex(j, k, self.n)]
+        return TripleConstraint(positive=edges.pop(slot), negatives=tuple(edges))
 
     def row_of(self, positive: PairIndex, third_vertex: int) -> int:
         """1-based row holding the constraint with this positive pair and apex."""
         tri = tuple(sorted((positive.i, positive.j, third_vertex)))
         if len(set(tri)) != 3 or not all(1 <= v <= self.n for v in tri):
             raise DomainError(f"{tri} is not a vertex triple for n={self.n}")
-        t = int(np.nonzero((self.triples == tri).all(axis=1))[0][0])
         i, j, k = tri
-        slot = {(i, j): 0, (i, k): 1, (j, k): 2}[(positive.i, positive.j)]
-        return 3 * t + slot + 1
+        cols = [linear_index(a, b, self.n) - 1 for a, b in ((i, j), (i, k), (j, k))]
+        t = int(np.flatnonzero((self.edges == cols).all(axis=1))[0])
+        return 3 * t + cols.index(pair_to_linear(positive) - 1) + 1
 
     def to_dense(self) -> np.ndarray:
         """Dense signed matrix (small n only)."""
@@ -197,17 +195,13 @@ class ConstraintMatrix:
                 f"{self.num_rows}x{self.num_cols} entries"
             )
         rows = max(1, entries // self.num_cols)
-        return (self._dense_rows(start, start + rows)
+        return (self._dense_rows(start, min(start + rows, self.num_rows))
                 for start in range(0, self.num_rows, rows))
 
     def _dense_rows(self, start: int, stop: int) -> np.ndarray:
-        pos = self.pos_col[start:stop]
-        neg = self.neg_cols[start:stop]
-        A = np.zeros((pos.shape[0], self.num_cols), dtype=np.int64)
-        rows = np.arange(pos.shape[0])
-        A[rows, pos] = 1
-        A[rows, neg[:, 0]] = -1
-        A[rows, neg[:, 1]] = -1
+        r = np.arange(start, stop)
+        A = np.zeros((r.size, self.num_cols), dtype=np.int64)
+        A[np.arange(r.size)[:, None], self.edges[r // 3]] = SIGNS[r % 3]
         return A
 
     def triplets(self) -> np.ndarray:
@@ -216,34 +210,35 @@ class ConstraintMatrix:
         An int64 array of shape (3 * num_rows, 3), ordered by row, then
         column.  A triple's columns (ij, ik, jk) are ascending and shared
         by its three rows, and row s of the block has its +1 in slot s,
-        so the entries are built in order.
+        so the entries are written in order into one preallocated array,
+        through its (triple, row in block, slot, field) view.
         """
-        rows = np.repeat(np.arange(1, self.num_rows + 1), 3)
-        cols = np.repeat(self.pos_col.reshape(-1, 3), 3, axis=0).ravel() + 1
-        signs = np.tile(2 * np.eye(3, dtype=np.int64).ravel() - 1, self.num_rows // 3)
-        return np.column_stack([rows, cols, signs])
+        out = np.empty((self.edges.shape[0], 3, 3, 3), dtype=np.int64)
+        out[..., 0] = np.arange(1, self.num_rows, 3)[:, None, None]
+        out[..., 0] += np.arange(3)[:, None]
+        out[..., 1] = self.edges[:, None, :]
+        out[..., 1] += 1
+        out[..., 2] = SIGNS
+        return out.reshape(-1, 3)
 
     def gram(self) -> np.ndarray:
-        """A^T A, exact in int64.
+        """A^T A, exact in int64, held in one L x L array.
 
-        Entry (p, q) sums sign_a * sign_b over the slots a, b of every row
-        with column p in slot a and column q in slot b.  Slot 0 holds the
-        +1 and slots 1, 2 the -1s, so the five slot pairs (0,0), (1,1),
-        (2,2), (1,2), (2,1) add 1 and the four (0,1), (0,2), (1,0), (2,0)
-        subtract 1: one count of the flat index p * L + q for the first,
-        then a subtraction in place for the second, so one L x L array
-        is held.
+        Lemma: triple T's rows are 2e_s - (e_0 + e_1 + e_2) in the
+        coordinates of its edge columns, so they add 4I - 11^T on those
+        columns, and A^T A is the sum of these blocks over all triples.
+        The 11^T parts are one count of the flat index p * L + q over the
+        nine edge pairs (p, q) of each triple, negated in place; the 4I
+        parts add four times each column's count of edges to the
+        diagonal.  This holds for any ``edges``, repeated columns too.
         """
         L = self.num_cols
-        slots = (self.pos_col, self.neg_cols[:, 0], self.neg_cols[:, 1])
-        if any(s.size and (s.min() < 0 or s.max() >= L) for s in slots):
+        e = self.edges
+        if e.size and (e.min() < 0 or e.max() >= L):
             raise DomainError(f"constraint columns must lie in [0, {L})")
-
-        def flat(pairs):
-            return np.concatenate([slots[a] * L + slots[b] for a, b in pairs])
-
-        G = np.bincount(flat(((0, 0), (1, 1), (2, 2), (1, 2), (2, 1))), minlength=L * L)
-        np.subtract.at(G, flat(((0, 1), (0, 2), (1, 0), (2, 0))), 1)
+        G = np.bincount((e[:, :, None] * L + e[:, None, :]).ravel(), minlength=L * L)
+        np.negative(G, out=G)
+        G[::L + 1] += 4 * np.bincount(e.ravel(), minlength=L)
         return G.reshape(L, L)
 
     def apply(self, upper: np.ndarray) -> np.ndarray:
@@ -253,11 +248,8 @@ class ConstraintMatrix:
             raise DomainError(
                 f"expected a vector of length {self.num_cols}, got {upper.shape}"
             )
-        return (
-            upper[self.pos_col]
-            - upper[self.neg_cols[:, 0]]
-            - upper[self.neg_cols[:, 1]]
-        )
+        u = upper[self.edges]
+        return (u - u[:, [1, 0, 0]] - u[:, [2, 2, 1]]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,38 +293,29 @@ def _colex_rank(lo, mid, hi):
 
 
 def _has_triangle_rows(A: ConstraintMatrix) -> bool:
-    """Whether A's rows are exactly the 3 C(n, 3) triangle rows, each once.
+    """Whether A's triples are exactly the C(n, 3) vertex triples, each once.
 
-    A triangle row has its +1 on one edge of a vertex triple and its two
-    -1s on the other two: the negative pairs share an apex vertex off
-    the positive pair, and their other ends are the positive pair's
-    vertices.  The key 3 rank(triple) + (the apex's place in the sorted
-    triple) names each triangle row; with 3 C(n, 3) rows, every key in
-    [0, 3 C(n, 3)) must be hit.  The rows may come in any order and the
-    two negatives in either.  Exact, in O(rows), a block of rows at a time.
+    Row 3t + s of A is a triangle row whenever triple t's edges decode
+    to (i,j), (i,k), (j,k), so it is enough to check that every column
+    is in range, that the edges decode that way (i < j < k follows, as
+    each edge is a pair), and that the colex ranks of the triples cover
+    [0, C(n, 3)).  The triples may come in any order.  Exact, in
+    O(C(n, 3)), a block of triples at a time.
     """
-    rows = num_constraints(A.n)
-    if A.pos_col.shape != (rows,) or A.neg_cols.shape != (rows, 2):
+    triples = num_constraints(A.n) // 3
+    if A.edges.shape != (triples, 3):
         return False
     first, second = pair_arrays(A.n)
-    seen = np.zeros(rows, dtype=bool)
-    for start in range(0, rows, STRUCTURE_BLOCK_ROWS):
-        block = slice(start, start + STRUCTURE_BLOCK_ROWS)
-        cols = np.stack([A.pos_col[block], A.neg_cols[block, 0], A.neg_cols[block, 1]])
-        if cols.min() < 0 or cols.max() >= first.size:
+    seen = np.zeros(triples, dtype=bool)
+    for start in range(0, triples, STRUCTURE_BLOCK_TRIPLES):
+        e = A.edges[start:start + STRUCTURE_BLOCK_TRIPLES]
+        if e.min() < 0 or e.max() >= first.size:
             return False
-        (p_lo, a_lo, b_lo), (p_hi, a_hi, b_hi) = first[cols], second[cols]
-        apex = np.where((a_lo == b_lo) | (a_lo == b_hi), a_lo,
-                        np.where((a_hi == b_lo) | (a_hi == b_hi), a_hi, -1))
-        a_end, b_end = a_lo + a_hi - apex, b_lo + b_hi - apex
-        triangle = ((apex >= 0) & (apex != p_lo) & (apex != p_hi)
-                    & (np.minimum(a_end, b_end) == p_lo)
-                    & (np.maximum(a_end, b_end) == p_hi))
-        if not triangle.all():
+        lo, hi = first[e], second[e]
+        if not ((lo[:, 0] == lo[:, 1]) & (hi[:, 0] == lo[:, 2])
+                & (hi[:, 1] == hi[:, 2])).all():
             return False
-        lo, hi = np.minimum(apex, p_lo), np.maximum(apex, p_hi)
-        place = (apex > p_lo).astype(np.int64) + (apex > p_hi)
-        seen[3 * _colex_rank(lo, p_lo + p_hi + apex - lo - hi, hi) + place] = True
+        seen[_colex_rank(lo[:, 0], hi[:, 0], hi[:, 1])] = True
     return bool(seen.all())
 
 
@@ -340,20 +323,19 @@ def _class_deviation(A: ConstraintMatrix) -> int:
     """max |(A^T A)[alpha, beta] - (3n-4) delta + |alpha & beta||, one beta per class.
 
     alpha = (1, 2); beta runs over alpha itself, (1, 3) and, from n = 4,
-    (3, 4).  Each entry is read from the 3(n-2) rows that hold alpha.
+    (3, 4).  With triangle rows, each triple that holds both alpha and
+    beta adds 3 to the entry when beta = alpha and -1 otherwise, so each
+    entry is a count over the n - 2 triples that hold alpha, always as
+    their edge (i,j).
     """
     n = A.n
     alpha = 0
-    held = np.concatenate([np.flatnonzero(A.pos_col == alpha),
-                           np.flatnonzero(A.neg_cols == alpha) // 2])
-    cols = np.column_stack([A.pos_col[held], A.neg_cols[held]])
-    signs = np.array([1, -1, -1])
-    alpha_sign = (cols == alpha) @ signs
+    held = A.edges[A.edges[:, 0] == alpha]
     classes = [(alpha, 2), (linear_index(1, 3, n) - 1, 1)]
     if n >= 4:
         classes.append((linear_index(3, 4, n) - 1, 0))
     return max(
-        abs(int(alpha_sign @ ((cols == beta) @ signs))
+        abs((3 if beta == alpha else -1) * int((held == beta).any(axis=1).sum())
             - (3 * n - 4) * (beta == alpha) + overlap)
         for beta, overlap in classes
     )
@@ -362,10 +344,10 @@ def _class_deviation(A: ConstraintMatrix) -> int:
 def constraint_gram_deviation(A: ConstraintMatrix) -> int:
     """max |A^T A + M M^T - (3n-4) I| over all L^2 entries, an exact integer.
 
-    0 when the identity holds.  Lemma: when A's rows are exactly the
-    triangle rows (:func:`_has_triangle_rows`), A^T A is the sum over
-    vertex triples T of 4I - 11^T on T's three edges, since T's rows are
-    2e_s - (e_1 + e_2 + e_3) in T's edge coordinates.  So an entry
+    0 when the identity holds.  By the lemma of
+    :meth:`ConstraintMatrix.gram`, A^T A is the sum over A's triples of
+    4I - 11^T on each triple's edges.  When those triples are exactly
+    the vertex triples (:func:`_has_triangle_rows`), an entry
     depends only on how its pairs alpha and beta meet: 3(n-2) when they
     are equal (alpha lies in n - 2 triples), -1 when they share one
     vertex (one common triple) and 0 when they are disjoint.  (3n-4) I -

@@ -23,7 +23,7 @@ relation class of two pairs (equal, sharing one vertex in one of four
 ways, disjoint), each evaluated once; otherwise every entry is
 evaluated.  The inverse check
 forms G H as 2G + (G M) M^T, O(L^2 n) instead of O(L^3).  A run whose
-estimated peak memory exceeds physical memory is refused before
+estimated peak memory exceeds available memory is refused before
 anything is allocated.
 """
 
@@ -320,7 +320,7 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     """Run every check at size n; the golden-object check joins at n = 4.
 
     The run is refused up front when its estimated peak memory exceeds
-    physical memory.  The L x L atom Gram matrix H, the pair overlaps
+    available memory.  The L x L atom Gram matrix H, the pair overlaps
     M M^T and the constraint matrix A are built once and handed to the
     checks that read them.  H is released after the round-trip check; a
     passing run never forms A^T A.

@@ -25,7 +25,7 @@ from dualmds import (
 from dualmds.errors import DomainError, ResourceLimitError
 from dualmds.basis import integer_deviation, pair_overlaps
 from dualmds.nearness import _has_triangle_rows, constraint_gram_deviation
-from dualmds.pairspace import pair_arrays
+from dualmds.pairspace import linear_index, pair_arrays
 
 import oracles
 
@@ -154,10 +154,27 @@ class TestDenseAndSparseAgree:
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_triples_are_lexicographic_combinations(self, n):
-        triples = constraint_matrix(n).triples
-        assert triples.dtype == np.int64
-        np.testing.assert_array_equal(
-            triples, np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64))
+        edges = constraint_matrix(n).edges
+        assert edges.dtype == np.int64
+        first, second = pair_arrays(n)
+        decoded = np.stack([first[edges], second[edges]], axis=-1) + 1
+        triples = np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64)
+        np.testing.assert_array_equal(decoded, triples[:, [[0, 1], [0, 2], [1, 2]]])
+
+    def test_edges_are_the_only_per_row_array(self):
+        A = constraint_matrix(5)
+        assert ConstraintMatrix.__slots__ == ("n", "edges")
+        assert A.edges.shape == (10, 3) and not A.edges.flags.writeable
+
+    def test_construction_peaks_below_32_bytes_per_row(self):
+        # edges hold 8 bytes per row; the rest is construction's temporaries
+        tracemalloc.start()
+        try:
+            A = constraint_matrix(60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * A.num_rows
 
     def test_triplets_sorted(self):
         trips = constraint_matrix(4).triplets().tolist()
@@ -251,10 +268,10 @@ class TestGramIdentity:
         assert integer_deviation(H, gram, 1, 3 * n - 2) == 3
 
 
-def _with_columns(A, pos, neg):
-    """A constraint matrix for A's n with the given column arrays."""
+def _with_edges(A, edges):
+    """A constraint matrix for A's n with the given edge columns."""
     B = object.__new__(ConstraintMatrix)
-    B.n, B.triples, B.pos_col, B.neg_cols = A.n, A.triples, pos, neg
+    B.n, B.edges = A.n, edges
     return B
 
 
@@ -263,22 +280,22 @@ def _dense_deviation(A):
     return integer_deviation(A.gram(), pair_overlaps(A.n), 1, 3 * A.n - 4)
 
 
-def _mutated(A, kind, r):
-    """A copy of A with row r broken in one way."""
-    pos, neg = A.pos_col.copy(), A.neg_cols.copy()
-    if kind == "swap_positive_and_negative":
-        pos[r], neg[r, 0] = neg[r, 0], pos[r]
-    elif kind == "disjoint_negative":
+def _mutated(A, kind, t):
+    """A copy of A with triple t broken in one way."""
+    edges = A.edges.copy()
+    if kind == "disjoint_pair":
+        # slot t % 3 gets a pair disjoint from the next slot's edge
         first, second = pair_arrays(A.n)
-        ends = {first[pos[r]], second[pos[r]]}
-        neg[r, 1] = next(c for c in range(A.num_cols)
-                         if not ends & {first[c], second[c]})
-    elif kind == "equal_negatives":
-        neg[r, 1] = neg[r, 0]
-    elif kind == "duplicated_row":
-        s = (r + 1) % A.num_rows
-        pos[s], neg[s] = pos[r], neg[r]
-    return _with_columns(A, pos, neg)
+        s = t % 3
+        other = edges[t, (s + 1) % 3]
+        ends = {first[other], second[other]}
+        edges[t, s] = next(c for c in range(A.num_cols)
+                           if not ends & {first[c], second[c]})
+    elif kind == "equal_slots":
+        edges[t, 2] = edges[t, 1]
+    elif kind == "duplicated_triple":
+        edges[(t + 1) % len(edges)] = edges[t]
+    return _with_edges(A, edges)
 
 
 class TestStructuralRoute:
@@ -291,38 +308,61 @@ class TestStructuralRoute:
         assert constraint_gram_deviation(A) == _dense_deviation(A) == 0
 
     @pytest.mark.parametrize("n", [3, 4, 7])
-    def test_row_order_and_negative_order_are_free(self, n):
+    def test_triple_order_is_free(self, n):
         A = constraint_matrix(n)
-        order = np.random.default_rng(n).permutation(A.num_rows)
-        B = _with_columns(A, A.pos_col[order], A.neg_cols[order][:, ::-1])
+        order = np.random.default_rng(n).permutation(len(A.edges))
+        B = _with_edges(A, A.edges[order])
         assert _has_triangle_rows(B)
         assert constraint_gram_deviation(B) == 0
 
-    @pytest.mark.parametrize("kind", ["swap_positive_and_negative", "disjoint_negative",
-                                      "equal_negatives", "duplicated_row"])
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_permuted_slots_keep_the_identity(self, n):
+        # the triple's three rows are permuted among themselves, so A^T A
+        # is unchanged, whichever route the test takes
+        A = constraint_matrix(n)
+        for t in (0, len(A.edges) - 1):
+            edges = A.edges.copy()
+            edges[t] = edges[t, [2, 0, 1]]
+            B = _with_edges(A, edges)
+            assert constraint_gram_deviation(B) == _dense_deviation(B) == 0
+
+    @pytest.mark.parametrize("kind", ["disjoint_pair", "equal_slots", "duplicated_triple"])
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_mutation_fails_and_falls_back_to_the_oracle(self, n, kind):
         A = constraint_matrix(n)
-        for r in (0, A.num_rows // 2, A.num_rows - 1):
-            B = _mutated(A, kind, r)
+        for t in (0, len(A.edges) // 2, len(A.edges) - 1):
+            B = _mutated(A, kind, t)
             assert not _has_triangle_rows(B)
             deviation = constraint_gram_deviation(B)
             assert deviation == _dense_deviation(B) > 0
 
+    @pytest.mark.parametrize("slot, pair", [(1, (3, 4)), (2, (3, 4)), (2, (2, 5))])
+    def test_moved_vertex_fails(self, slot, pair):
+        # triple (1, 2, 4) keeps its colex rank, but one edge leaves it
+        A = constraint_matrix(5)
+        cols = [linear_index(i, j, 5) - 1 for i, j in ((1, 2), (1, 4), (2, 4))]
+        t = int(np.flatnonzero((A.edges == cols).all(axis=1))[0])
+        edges = A.edges.copy()
+        edges[t, slot] = linear_index(*pair, 5) - 1
+        B = _with_edges(A, edges)
+        assert not _has_triangle_rows(B)
+        assert constraint_gram_deviation(B) == _dense_deviation(B) > 0
+
     @pytest.mark.parametrize("column", [-1, 10])
     def test_column_out_of_range_is_refused(self, column):
         A = constraint_matrix(5)
-        pos = A.pos_col.copy()
-        pos[3] = column
-        B = _with_columns(A, pos, A.neg_cols)
+        edges = A.edges.copy()
+        edges[3, 1] = column
+        B = _with_edges(A, edges)
         assert not _has_triangle_rows(B)
         with pytest.raises(DomainError, match="columns must lie"):
             constraint_gram_deviation(B)
 
-    def test_missing_row_fails(self):
+    def test_missing_triple_fails(self):
         A = constraint_matrix(6)
-        B = _with_columns(A, A.pos_col[:-1], A.neg_cols[:-1])
+        B = _with_edges(A, A.edges[:-1])
         assert not _has_triangle_rows(B)
+        assert constraint_gram_deviation(B) == _dense_deviation(B) > 0
 
 
 class TestPredictedSingularValues:

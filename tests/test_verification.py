@@ -228,15 +228,16 @@ def _triangular_holds(H, n):
     return verification._check_triangular_decomposition(H, pair_overlaps(n)).passed
 
 
-def _corrupted(A, r=7):
-    """A with row r's positive column swapped with its first negative one.
+def _corrupted(A, t=7):
+    """A with triple t's edge jk replaced by its edge ik.
 
-    The row is still a triangle row, but its (triple, apex) key is taken
-    twice, and two off-diagonal entries of A^T A move by 2.
+    Two slots of the triple hold one column, so the triple fails the
+    structure test, and the diagonal of A^T A moves by 3 at the lost
+    column.
     """
-    pos, neg = A.pos_col.copy(), A.neg_cols.copy()
-    pos[r], neg[r, 0] = neg[r, 0], pos[r]
-    A.pos_col, A.neg_cols = pos, neg
+    edges = A.edges.copy()
+    edges[t, 2] = edges[t, 1]
+    A.edges = edges
     return A
 
 
@@ -280,7 +281,7 @@ class TestIncidenceRoute:
 
     def test_bumped_constraint_gram_fails_with_its_dense_spectrum(self):
         A = _corrupted(constraint_matrix(8))
-        assert constraint_gram_deviation(A) == 2
+        assert constraint_gram_deviation(A) == 3
         ok, groups = singular_value_verdict(A, False)
         assert ok is False
         assert (ok, groups) == _dense_singular_verdict(A.n, A.gram())
@@ -395,18 +396,18 @@ class TestEachIdentityTestedOnce:
         _corrupt_every_constraint_matrix(monkeypatch)
         assert main(["nearness", "--n", str(n)]) == 1
         lines = [x.strip() for x in capsys.readouterr().out.splitlines()]
-        assert deviation == 2
+        assert deviation == 3
         assert f"[FAIL] gram_identity: max_deviation={deviation}" in lines
         assert f"[FAIL] singular_values: groups={[list(g) for g in groups]}" in lines
         assert "overall: FAIL" in lines
 
 
 class TestMemoryRefusal:
-    """Runs whose estimated peak exceeds physical memory are refused up front."""
+    """Runs whose estimated peak exceeds available memory are refused up front."""
 
     @pytest.fixture
     def tiny_memory(self, monkeypatch):
-        monkeypatch.setattr(basis, "physical_memory", lambda: 1 << 20)
+        monkeypatch.setattr(basis, "available_memory", lambda: 1 << 16)
 
     @staticmethod
     def _forbid(monkeypatch, module, *names):
@@ -418,34 +419,34 @@ class TestMemoryRefusal:
     def test_verify_refused_before_allocating(self, tiny_memory, monkeypatch):
         self._forbid(monkeypatch, verification, "basis_gram", "pair_overlaps",
                      "constraint_matrix")
-        with pytest.raises(ResourceLimitError, match="physical memory"):
+        with pytest.raises(ResourceLimitError, match="available memory"):
             run_verification(40)
 
     def test_verify_cli_exits_2(self, tiny_memory, capsys):
         assert main(["verify", "--n", "40"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "physical memory" in captured.err
+        assert "available memory" in captured.err
 
     def test_nearness_cli_exits_2_before_allocating(self, tiny_memory, monkeypatch,
                                                     capsys):
         self._forbid(monkeypatch, cli, "constraint_matrix", "basis_gram")
         assert main(["nearness", "--n", "40"]) == 2
-        assert "physical memory" in capsys.readouterr().err
+        assert "available memory" in capsys.readouterr().err
 
     def test_estimate_at_the_boundary(self, monkeypatch):
         n = 10
         need = VERIFY_PEAK_ARRAYS * num_pairs(n) ** 2 * 8
-        monkeypatch.setattr(basis, "physical_memory", lambda: need)
+        monkeypatch.setattr(basis, "available_memory", lambda: need)
         require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
-        monkeypatch.setattr(basis, "physical_memory", lambda: need - 1)
+        monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
         with pytest.raises(ResourceLimitError):
             require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
 
     def test_n200_is_refused_on_an_8_gb_host(self, monkeypatch):
         # the dense cap admits n = 200 (19900 pairs); its estimated peak
         # does not fit in 8.2 GB, which is never allocated here
-        monkeypatch.setattr(basis, "physical_memory", lambda: 8_200_000_000)
+        monkeypatch.setattr(basis, "available_memory", lambda: 8_200_000_000)
         with pytest.raises(ResourceLimitError):
             require_dense_memory(200, VERIFY_PEAK_ARRAYS, "verify")
         require_dense_memory(120, VERIFY_PEAK_ARRAYS, "verify")
@@ -453,12 +454,12 @@ class TestMemoryRefusal:
     def test_nearness_is_sized_by_rows(self, monkeypatch):
         # past the dense pair cap (n = 300, 44850 pairs), nearness fits in
         # 8.2 GB with or without the triplet export; the estimate is linear
-        # in the constraint rows, so n = 800 does not
-        monkeypatch.setattr(basis, "physical_memory", lambda: 8_200_000_000)
+        # in the constraint rows, so n = 1200 does not
+        monkeypatch.setattr(basis, "available_memory", lambda: 8_200_000_000)
         for row_bytes in (NEARNESS_ROW_BYTES, TRIPLET_EXPORT_ROW_BYTES):
             require_memory(300, row_bytes * num_constraints(300), "nearness")
             with pytest.raises(ResourceLimitError):
-                require_memory(800, row_bytes * num_constraints(800), "nearness")
+                require_memory(1200, row_bytes * num_constraints(1200), "nearness")
 
     @pytest.mark.parametrize("argv, row_bytes", [
         ([], NEARNESS_ROW_BYTES),
@@ -468,17 +469,17 @@ class TestMemoryRefusal:
                                                argv, row_bytes):
         monkeypatch.chdir(tmp_path)
         need = row_bytes * num_constraints(12)
-        monkeypatch.setattr(basis, "physical_memory", lambda: need)
+        monkeypatch.setattr(basis, "available_memory", lambda: need)
         assert main(["nearness", "--n", "12", *argv]) == 0
-        monkeypatch.setattr(basis, "physical_memory", lambda: need - 1)
+        monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
         assert main(["nearness", "--n", "12", *argv]) == 2
-        assert "physical memory" in capsys.readouterr().err
+        assert "available memory" in capsys.readouterr().err
 
     def test_failing_structure_beyond_memory_exits_2(self, monkeypatch, capsys):
         # the dense route a corrupt A falls back to is refused up front
         n = 40
         _corrupt_every_constraint_matrix(monkeypatch)
-        monkeypatch.setattr(basis, "physical_memory",
+        monkeypatch.setattr(basis, "available_memory",
                             lambda: NEARNESS_ROW_BYTES * num_constraints(n))
         assert main(["nearness", "--n", str(n)]) == 2
         captured = capsys.readouterr()
@@ -486,9 +487,36 @@ class TestMemoryRefusal:
         assert "dense constraint-Gram route" in captured.err
 
     def test_unknown_memory_refuses_nothing(self, monkeypatch):
-        monkeypatch.setattr(basis, "physical_memory", lambda: None)
+        monkeypatch.setattr(basis, "available_memory", lambda: None)
         require_dense_memory(200, VERIFY_PEAK_ARRAYS, "verify")
 
-    def test_physical_memory_is_read(self):
-        have = basis.physical_memory()
+    def test_available_memory_is_read(self):
+        have = basis.available_memory()
         assert have is None or have > 0
+
+    def test_available_memory_parses_meminfo(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        monkeypatch.setattr(basis, "MEMINFO", str(meminfo))
+        meminfo.write_text("MemTotal:       8000000 kB\n"
+                           "MemFree:         500000 kB\n"
+                           "MemAvailable:   7411440 kB\n")
+        assert basis.available_memory() == 7411440 * 1024
+
+    @pytest.mark.parametrize("meminfo", ["MemTotal:       8000000 kB\n", None])
+    def test_available_memory_falls_back_to_physical(self, tmp_path, monkeypatch,
+                                                     meminfo):
+        # a kernel without MemAvailable, or no meminfo file at all
+        path = tmp_path / "meminfo"
+        monkeypatch.setattr(basis, "MEMINFO", str(path))
+        if meminfo is not None:
+            path.write_text(meminfo)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(basis.os, "sysconf", pages.__getitem__)
+        assert basis.available_memory() == 4096 * 1000
+
+    def test_available_memory_unknown_is_none(self, tmp_path, monkeypatch):
+        def unsupported(name):
+            raise ValueError(name)
+        monkeypatch.setattr(basis, "MEMINFO", str(tmp_path / "missing"))
+        monkeypatch.setattr(basis.os, "sysconf", unsupported)
+        assert basis.available_memory() is None
