@@ -19,7 +19,6 @@ from .basis import (
     dual_atom_eigenpairs,
     dual_gram_entry,
     dual_gram_matrix,
-    h_matvec,
     h_spectrum_predicted,
     triangular_graph_adjacency,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "expand_coefficients",
     "gram_identity_check",
     "group_spectrum",
-    "h_matvec",
     "h_spectrum_predicted",
     "is_euclidean",
     "linear_to_pair",

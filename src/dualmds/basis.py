@@ -31,8 +31,16 @@ from .errors import DomainError, ResourceLimitError
 from .pairspace import PairIndex, num_pairs, pair_arrays
 from .spectral import sym_eigvals
 
-DENSE_PAIR_CAP = 20000
 DEVIATION_BLOCK_ENTRIES = 1 << 16
+# Entries per row block of pair_overlaps' product; a block shorter than M
+# is a general product, never the symmetric rank-k update of M M^T.
+OVERLAP_BLOCK_ENTRIES = 1 << 20
+# Peaks of the dense builders in L x L float64 arrays, for their refusal.
+# Measured peak RSS slopes between n = 120 and 160: 1.125 arrays for
+# basis_gram, dual_gram_matrix and triangular_graph_adjacency (one 8-byte and
+# one 1-byte array) and 0.136 for the uint8 pair_overlaps; rounded up.
+DENSE_BUILD_ARRAYS = 1.2
+OVERLAP_ARRAYS = 0.15
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +167,12 @@ def dual_atom_eigenpairs(alpha: PairIndex) -> tuple[tuple[float, np.ndarray],
 def basis_gram(n: int) -> BasisGram:
     """Dense H for n points: 4 on the diagonal, 1 iff pairs share a vertex.
 
-    Refuses to allocate when the pair count exceeds ``DENSE_PAIR_CAP``
-    (L x L dense storage); use :func:`h_matvec` past that scale.
+    Refused by :func:`require_dense_memory` when its L x L arrays do not
+    fit in available memory.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
-    _require_dense_pairs(n)
+    require_dense_memory(n, DENSE_BUILD_ARRAYS, "basis_gram")
     rows, cols = pair_arrays(n)
     share = (
         (rows[:, None] == rows[None, :])
@@ -175,14 +183,6 @@ def basis_gram(n: int) -> BasisGram:
     H = share.astype(np.float64)
     np.fill_diagonal(H, 4.0)
     return BasisGram(n=n, entries=H)
-
-
-def _require_dense_pairs(n: int) -> None:
-    L = num_pairs(n)
-    if L > DENSE_PAIR_CAP:
-        raise ResourceLimitError(
-            f"n={n} gives {L} pairs, beyond the dense cap of {DENSE_PAIR_CAP}"
-        )
 
 
 def incidence_matrix(n: int) -> np.ndarray:
@@ -206,11 +206,19 @@ def pair_overlaps(n: int) -> np.ndarray:
 
     Every L x L matrix the package checks lies in span{I, M M^T, 11^T}:
     H = 2I + M M^T and A^T A = (3n-4) I - M M^T.  One byte per entry
-    holds the counts exactly at an eighth of the memory of H.
+    holds the counts exactly at an eighth of the memory of H.  The
+    product is formed a block of about OVERLAP_BLOCK_ENTRIES entries at a
+    time, so no L x L float array is held; while L fits in one block,
+    that block is M itself.
     """
-    _require_dense_pairs(n)
+    require_dense_memory(n, OVERLAP_ARRAYS, "pair_overlaps")
     M = incidence_matrix(n)
-    return (M @ M.T).astype(np.uint8)
+    L = M.shape[0]
+    out = np.empty((L, L), dtype=np.uint8)
+    step = max(1, OVERLAP_BLOCK_ENTRIES // L)
+    for start in range(0, L, step):
+        out[start:start + step] = M[start:start + step] @ M.T
+    return out
 
 
 def incidence_gram(n: int) -> np.ndarray:
@@ -253,6 +261,7 @@ def triangular_graph_adjacency(n: int) -> np.ndarray:
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
+    require_dense_memory(n, DENSE_BUILD_ARRAYS, "triangular_graph_adjacency")
     return (pair_overlaps(n) == 1).astype(np.int64)
 
 
@@ -331,23 +340,6 @@ def integer_deviation(H: np.ndarray, other: np.ndarray, sign: int, diag: int) ->
     return worst
 
 
-def h_matvec(n: int, x: np.ndarray) -> np.ndarray:
-    """Product H @ x without materializing H.
-
-    Uses the per-vertex load s_v = sum of x over pairs containing v:
-    (Hx) at pair (i, j) equals 2 x_(i,j) + s_i + s_j.
-    """
-    x = np.asarray(x, dtype=float)
-    L = num_pairs(n)
-    if x.shape != (L,):
-        raise DomainError(f"expected a vector of length {L}, got shape {x.shape}")
-    rows, cols = pair_arrays(n)
-    s = np.zeros(n)
-    np.add.at(s, rows, x)
-    np.add.at(s, cols, x)
-    return 2.0 * x + s[rows] + s[cols]
-
-
 def h_spectrum_predicted(n: int) -> list[tuple[float, int]]:
     """Closed-form spectrum of H: eigenvalues 2, n, 2n.
 
@@ -399,6 +391,7 @@ def dual_gram_matrix(n: int, overlaps: np.ndarray | None = None) -> np.ndarray:
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got n={n}")
+    require_dense_memory(n, DENSE_BUILD_ARRAYS, "dual_gram_matrix")
     if overlaps is None:
         overlaps = pair_overlaps(n)
     d, o = 1.0 - 1.0 / n, -1.0 / n

@@ -6,8 +6,8 @@ to coordinates), ``verify`` (closed-form check suite), ``noise``
 checks), ``basis`` (print the small objects for inspection).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 domain error
-(invalid parameters, non-Euclidean input, resource caps, memory
-exhausted), 3 parse or I/O error, 4 internal error (any other
+(invalid parameters, non-Euclidean input, a run refused by the memory
+estimate, memory exhausted), 3 parse or I/O error, 4 internal error (any other
 exception, reported on one stderr line and never as a failed check).
 Reports print to stdout as text by default or as JSON with ``--format
 json``; JSON output is byte-identical across reruns with the same seed.
@@ -22,7 +22,8 @@ import time
 import numpy as np
 
 from . import _reference
-from .basis import basis_atom, basis_gram, dual_atom, dual_gram_matrix, require_memory
+from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix,
+                    require_dense_memory, require_memory)
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
 from .fileio import (CSV_BLOCK_ENTRIES, format_float, read_matrix_csv, write_integer_csv,
                      write_matrix_csv, write_triplets)
@@ -191,8 +192,16 @@ def _matrix_lines(M: np.ndarray, integer: bool = False) -> list[str]:
     return out
 
 
+# Peak of `dualmds basis` in L x L float64 arrays, per format, for the
+# up-front refusal; every entry of H and G is rendered.  Measured peak RSS at
+# n = 40, 60, 80: text 69, 234, 688 MB (a slope of 8.7 arrays), json 240,
+# 1075, 3358 MB (43.7 arrays); rounded up.
+BASIS_PEAK_ARRAYS = {"text": 10, "json": 45}
+
+
 def cmd_basis(args) -> int:
     n = args.n
+    require_dense_memory(n, BASIS_PEAK_ARRAYS[args.format], "basis")
     alpha = PairIndex(1, 2, n)
     w = basis_atom(alpha).entries
     v = dual_atom(alpha).materialize()

@@ -103,8 +103,8 @@ def _jdj(D: SquaredDistanceMatrix) -> np.ndarray:
     """-1/2 J D J as a raw array, for callers that trust their own product.
 
     The product of a valid D is symmetric and zero-centered up to
-    roundoff, so :func:`embed` and :func:`is_euclidean` hand it to the
-    eigensolver without scanning it again.
+    roundoff, so the dense route of :func:`embed` and :func:`is_euclidean`
+    hands it to the eigensolver without scanning it again.
     """
     J = centering_matrix(D.n).entries
     return -0.5 * (J @ D.entries @ J)
@@ -164,20 +164,32 @@ def measure_coefficients(X: GramMatrix) -> np.ndarray:
     return diag[rows] + diag[cols] - 2.0 * E[rows, cols]
 
 
-def _euclidean(vals: np.ndarray, tol: float) -> bool:
-    """The Euclidean test on a descending Gram spectrum.
-
-    Fails iff the smallest eigenvalue lies below -tol * max(largest, 0), the
-    scale of the rank threshold, so the verdict does not change when D is
-    rescaled.  When no eigenvalue is positive, any negative one fails.
-    """
-    return not vals[-1] < -tol * max(float(vals[0]), 0.0)
-
-
 def _require_tolerance(tol: float) -> None:
     # NaN fails every comparison, so it would pass the test and count no rank
     if not 0.0 <= tol < float("inf"):
         raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _gram_spectrum(D: SquaredDistanceMatrix, tol: float):
+    """``(euclidean, lambda_min, eigenvalues, eigenvectors, s, detected)`` of D.
+
+    The one verdict of :func:`is_euclidean` and :func:`embed`.  From
+    ``CERTIFIED_MIN_N`` points on, the certified route of
+    :func:`_certified_spectrum` runs first; when it decides, D is
+    Euclidean and lambda_min is -s, its lower bound.  Otherwise the dense
+    spectrum decides (s is None): D fails iff its smallest eigenvalue,
+    lambda_min, lies below -tol * max(largest, 0), the scale of the rank
+    threshold, so rescaling D changes no verdict.
+    """
+    _require_tolerance(tol)
+    certified = _certified_spectrum(D, tol) if D.n >= CERTIFIED_MIN_N else None
+    if certified is not None:
+        vals, vecs, s, detected = certified
+        return True, 0.0 - s, vals, vecs, s, detected  # 0.0 - 0.0 is 0.0, never -0.0
+    vals, vecs = sym_eig(_jdj(D), trusted=True)
+    threshold = tol * max(float(vals[0]), 0.0)
+    return (not vals[-1] < -threshold, float(vals[-1]), vals, vecs, None,
+            int(np.count_nonzero(vals > threshold)))
 
 
 def is_euclidean(D: SquaredDistanceMatrix, tol: float = DEFAULT_RANK_TOL
@@ -186,12 +198,13 @@ def is_euclidean(D: SquaredDistanceMatrix, tol: float = DEFAULT_RANK_TOL
 
     True iff the smallest eigenvalue of the Gram matrix is no smaller
     than -tol * max(largest eigenvalue, 0).  Returns the verdict together
-    with that smallest eigenvalue.  A tolerance that is not finite or is
-    negative raises :class:`~dualmds.errors.DomainError`.
+    with that smallest eigenvalue or, where the certified route decides,
+    with -s, its lower bound: the ``lambda_min`` of :func:`embed`.  A
+    tolerance that is not finite or is negative raises
+    :class:`~dualmds.errors.DomainError`.
     """
-    _require_tolerance(tol)
-    vals, _ = sym_eig(_jdj(D), trusted=True)
-    return _euclidean(vals, tol), float(vals[-1])
+    euclidean, lam_min, *_ = _gram_spectrum(D, tol)
+    return euclidean, float(lam_min)
 
 
 def embed(D: SquaredDistanceMatrix, r: int | None = None,
@@ -214,24 +227,16 @@ def embed(D: SquaredDistanceMatrix, r: int | None = None,
     its residual bound proves the Euclidean verdict and puts every
     eigenvalue on a known side of the rank threshold; otherwise the
     dense eigendecomposition decides, as it always does below that size.
-    So every non-Euclidean verdict comes from the dense route.
+    So every non-Euclidean verdict comes from the dense route, and the
+    verdict and ``lambda_min`` are those of :func:`is_euclidean`.
     """
-    _require_tolerance(tol)
     n = D.n
-    certified = _certified_spectrum(D, tol) if n >= CERTIFIED_MIN_N else None
-    if certified is None:
-        vals, vecs = sym_eig(_jdj(D), trusted=True)
-        lam_min = float(vals[-1])
-        if not _euclidean(vals, tol):
-            raise NonEuclideanError(
-                f"distances are not Euclidean: smallest Gram eigenvalue {lam_min:.6e}",
-                lambda_min=lam_min,
-            )
-        detected = int(np.count_nonzero(vals > tol * max(float(vals[0]), 0.0)))
-        s = None
-    else:
-        vals, vecs, s, detected = certified
-        lam_min = 0.0 - s  # a lower bound; 0.0 - 0.0 is 0.0, never -0.0
+    euclidean, lam_min, vals, vecs, s, detected = _gram_spectrum(D, tol)
+    if not euclidean:
+        raise NonEuclideanError(
+            f"distances are not Euclidean: smallest Gram eigenvalue {lam_min:.6e}",
+            lambda_min=lam_min,
+        )
     if r is not None and not 0 <= r <= n - 1:
         raise DomainError(f"target dimension r={r} out of range [0, {n - 1}] for n={n}")
     keep = detected if r is None else min(r, detected)
@@ -281,8 +286,8 @@ def _certified_spectrum(D: SquaredDistanceMatrix, tol: float):
     eigenvalue can lie within s of the rank threshold tol * lambda_max.
     The trailing ones, |lambda_i| <= s, must then lie below it, so that
     s <= tol * max(mu_1 - s, 0) <= tol * lambda_max, as lambda_max >=
-    mu_1 - s; then lambda_min >= -s passes the Euclidean test of
-    :func:`is_euclidean`, lambda_min >= -tol * max(lambda_max, 0).
+    mu_1 - s; then lambda_min >= -s passes the Euclidean test,
+    lambda_min >= -tol * max(lambda_max, 0).
     Returns None when that fails, or when ``CERTIFIED_MAX_PIVOTS`` pivots
     leave the residual trace too large.
     """

@@ -31,21 +31,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (integer_deviation, overlap_spectrum, pair_overlaps,
-                    require_dense_memory)
-from .errors import DomainError, ResourceLimitError
+                    require_dense_memory, require_memory)
+from .errors import DomainError
 from .pairspace import (PairIndex, linear_index, linear_to_pair, num_pairs, pair_arrays,
                         pair_to_linear, validate_symmetric)
 from .spectral import spectrum_verdict, sym_eigvals
 
-DENSE_ENTRY_CAP = 200_000_000
 # Peak memory of a passing `dualmds nearness` in bytes per constraint row,
 # for the up-front refusal.  Building ``edges`` (8 bytes per row) is the
 # peak: measured peak RSS 81 MB at n = 200 and 201 MB at n = 300, a slope
 # of 13.4 bytes per row; rounded up.  The triplet export fills one array
 # of all 3 * rows entries: 104 MB at n = 120 and 374 MB at n = 200 with
 # `--format triplets --out`, a slope of 91.4 bytes per row; rounded up.
-# The dense CSV is written a block of rows at a time and is capped at
-# DENSE_ENTRY_CAP entries.
+# The dense CSV is written a block of rows at a time, so it adds no term;
+# a disk that fills during the write ends the run with exit code 3.
 NEARNESS_ROW_BYTES = 16
 TRIPLET_EXPORT_ROW_BYTES = 96
 # Peak of the dense route, taken only by an A that fails the structure
@@ -178,22 +177,17 @@ class ConstraintMatrix:
         return 3 * t + cols.index(pair_to_linear(positive) - 1) + 1
 
     def to_dense(self) -> np.ndarray:
-        """Dense signed matrix (small n only)."""
-        (A,) = self.dense_blocks(self.num_rows * self.num_cols)
+        """Dense signed matrix, refused when its int64 entries exceed available memory."""
+        entries = self.num_rows * self.num_cols
+        require_memory(self.n, 8 * entries, "the dense constraint matrix")
+        (A,) = self.dense_blocks(entries)
         return A
 
     def dense_blocks(self, entries: int):
         """The dense signed matrix as consecutive int64 blocks of whole rows.
 
-        Each block holds about ``entries`` entries (at least one row).  A
-        matrix past DENSE_ENTRY_CAP is refused here, at the call, before
-        any block is built.
+        Each block holds about ``entries`` entries (at least one row).
         """
-        if self.num_rows * self.num_cols > DENSE_ENTRY_CAP:
-            raise ResourceLimitError(
-                f"dense constraint matrix for n={self.n} needs "
-                f"{self.num_rows}x{self.num_cols} entries"
-            )
         rows = max(1, entries // self.num_cols)
         return (self._dense_rows(start, min(start + rows, self.num_rows))
                 for start in range(0, self.num_rows, rows))

@@ -75,16 +75,16 @@ def linear_index(i, j, n: int):
 
 
 def linear_to_pair(k: int, n: int) -> PairIndex:
-    """Inverse of :func:`pair_to_linear`; raises on k outside [1, L]."""
+    """Inverse of :func:`pair_to_linear`; raises on k outside [1, L].
+
+    The last t rows hold t(t+1)/2 pairs, so k lies in row i = n - 1 - t
+    for the largest t with t(t+1)/2 <= L - k; exact integer arithmetic.
+    """
     L = num_pairs(n)
     if not 1 <= k <= L:
         raise DomainError(f"linear index {k} out of range [1, {L}] for n={n}")
-    i = 1
-    remaining = k
-    while remaining > n - i:
-        remaining -= n - i
-        i += 1
-    return PairIndex(i, i + remaining, n)
+    i = n - 1 - (math.isqrt(8 * (L - k) + 1) - 1) // 2
+    return PairIndex(i, i + k - linear_index(i, i, n), n)
 
 
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -69,9 +69,10 @@ EXPANSION_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-7
 RANDOM_CONFIGS = 5
 # Peak memory of a run in L x L float64 arrays (8 L^2 bytes each), for the
-# up-front refusal.  Measured peak RSS of `dualmds verify`: 297 MB at n = 80
-# and 1288 MB at n = 120, a slope of 3.02 arrays; rounded up.
-VERIFY_PEAK_ARRAYS = 3.2
+# up-front refusal.  The peak is the dual Gram product (G, the product and
+# the overlaps; H is released by then): measured peak RSS 906 MB at n = 120
+# and 2746 MB at n = 160, a slope of 2.18 arrays; rounded up.
+VERIFY_PEAK_ARRAYS = 2.4
 
 
 def _check_reference_objects(H: np.ndarray, A: ConstraintMatrix,
@@ -320,29 +321,28 @@ def run_verification(n: int, seed: int = 0) -> list[CheckResult]:
     """Run every check at size n; the golden-object check joins at n = 4.
 
     The run is refused up front when its estimated peak memory exceeds
-    available memory.  The L x L atom Gram matrix H, the pair overlaps
-    M M^T and the constraint matrix A are built once and handed to the
-    checks that read them.  H is released after the round-trip check; a
-    passing run never forms A^T A.
+    available memory.  The constraint matrix A, the L x L atom Gram
+    matrix H and the pair overlaps M M^T are built once and handed to the
+    checks that read them.  H is released once the two checks on H have
+    run, before the dual Gram product; a passing run never forms A^T A.
     """
     if n < 3:
         raise DomainError(f"verification needs n >= 3, got n={n}")
     require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
     rng = np.random.default_rng(seed)
+    A = constraint_matrix(n)
     H = basis_gram(n).entries
     overlaps = pair_overlaps(n)
+    checks = ([_check_reference_objects(H, A, overlaps)]
+              if n == _reference.REFERENCE_N else [])
     triangular = _check_triangular_decomposition(H, overlaps)
-    checks = [_check_atom_gram_spectrum(n, H, triangular.passed), triangular]
+    checks += [_check_atom_gram_spectrum(n, H, triangular.passed), triangular]
+    del H
     checks.append(_check_biorthogonality(n))
     checks.append(_check_dual_atom_spectra(n, rng))
     checks.append(_check_dual_gram_inverse(n, overlaps))
     checks.append(_check_expansion_equivalence(n, rng))
     checks.append(_check_embedding_round_trip(n, rng))
-    A = constraint_matrix(n)
-    if n == _reference.REFERENCE_N:
-        # listed first, but run once A exists
-        checks.insert(0, _check_reference_objects(H, A, overlaps))
-    del H
     identity = _check_constraint_gram_identity(A)
     checks.append(identity)
     checks.append(_check_constraint_singular_values(A, identity.passed))

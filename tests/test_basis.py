@@ -13,7 +13,6 @@ from dualmds import (
     dual_atom_eigenpairs,
     dual_gram_entry,
     dual_gram_matrix,
-    h_matvec,
     h_spectrum_predicted,
     linear_to_pair,
     num_pairs,
@@ -34,6 +33,10 @@ from dualmds.errors import DomainError, ResourceLimitError
 from dualmds.spectral import sym_eigvals
 
 import oracles
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("allocated before the memory estimate")
 
 # hand-checked four-point objects, scaled to integers where needed
 ATOM_12_N4 = np.array(
@@ -240,12 +243,17 @@ class TestBasisGram:
             vals, _ = sym_eig(basis_gram(n).entries)
             assert vals[-1] > 0
 
-    def test_dense_cap(self):
-        with pytest.raises(ResourceLimitError):
-            basis_gram(500)
-        # n = 201 gives 20100 pairs, the first size past DENSE_PAIR_CAP
-        with pytest.raises(ResourceLimitError):
-            basis_gram(201)
+    def test_refused_by_the_estimate_before_allocating(self, monkeypatch):
+        # the memory estimate is the only size rule: basis_gram builds at
+        # its boundary and, one byte below it, refuses before any array
+        n = 6
+        need = basis.DENSE_BUILD_ARRAYS * num_pairs(n) ** 2 * 8
+        monkeypatch.setattr(basis, "available_memory", lambda: need)
+        np.testing.assert_array_equal(basis_gram(n).entries, oracles.gram_by_traces(n))
+        monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
+        monkeypatch.setattr(basis, "pair_arrays", _forbidden)
+        with pytest.raises(ResourceLimitError, match="basis_gram at n=6"):
+            basis_gram(n)
 
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
@@ -278,8 +286,12 @@ class TestTriangularGraph:
 
 
 class TestPairOverlaps:
-    @pytest.mark.parametrize("n", range(2, 12))
-    def test_matches_set_intersection_oracle(self, n):
+    @pytest.mark.parametrize("block_rows", [None, 1, 5])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_set_intersection_oracle(self, n, block_rows, monkeypatch):
+        # blocks of one or a few rows, the last one short, as past 2^20 entries
+        if block_rows:
+            monkeypatch.setattr(basis, "OVERLAP_BLOCK_ENTRIES", block_rows * num_pairs(n))
         overlaps = pair_overlaps(n)
         assert overlaps.dtype == np.uint8
         np.testing.assert_array_equal(overlaps, oracles.pair_overlaps_by_sets(n))
@@ -291,11 +303,21 @@ class TestPairOverlaps:
         for k, (i, j) in enumerate(oracles.lex_pairs(n)):
             np.testing.assert_array_equal(np.nonzero(M[k])[0], [i - 1, j - 1])
 
-    def test_dense_cap(self):
-        # n = 201 gives 20100 pairs, the first size past DENSE_PAIR_CAP
-        for build in (pair_overlaps, triangular_graph_adjacency, dual_gram_matrix):
-            with pytest.raises(ResourceLimitError):
-                build(201)
+    @pytest.mark.parametrize("build, arrays", [
+        (pair_overlaps, basis.OVERLAP_ARRAYS),
+        (triangular_graph_adjacency, basis.DENSE_BUILD_ARRAYS),
+        (dual_gram_matrix, basis.DENSE_BUILD_ARRAYS),
+    ])
+    def test_refused_by_the_estimate_before_allocating(self, build, arrays,
+                                                       monkeypatch):
+        n = 7
+        need = arrays * num_pairs(n) ** 2 * 8
+        monkeypatch.setattr(basis, "available_memory", lambda: need)
+        assert build(n).shape == (num_pairs(n), num_pairs(n))
+        monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
+        monkeypatch.setattr(basis, "incidence_matrix", _forbidden)
+        with pytest.raises(ResourceLimitError, match=f"{build.__name__} at n=7"):
+            build(n)
 
     @pytest.mark.parametrize("n", range(2, 61))
     def test_counted_incidence_gram_is_the_product(self, n):
@@ -383,27 +405,6 @@ class TestHSpectrum:
         for (rep, mult), (val, target_mult) in zip(observed.groups, expected):
             assert mult == target_mult
             assert rep == pytest.approx(val, rel=1e-8)
-
-
-class TestHMatvec:
-    @pytest.mark.parametrize("n", range(3, 13))
-    def test_matches_dense_product(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(num_pairs(n))
-        dense = basis_gram(n).entries @ x
-        assert np.max(np.abs(h_matvec(n, x) - dense)) <= 1e-12
-
-    def test_scales_past_dense_cap(self):
-        # n=300 has ~45k pairs, beyond the dense builder's default cap
-        n = 300
-        x = np.ones(num_pairs(n))
-        y = h_matvec(n, x)
-        # H row sums: 4 + 2(n-2) ones
-        assert np.max(np.abs(y - (4 + 2 * (n - 2)))) <= 1e-9
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DomainError):
-            h_matvec(5, np.ones(3))
 
 
 class TestDualGram:

@@ -13,12 +13,13 @@ from dualmds import (
     SquaredDistanceMatrix,
     constraint_matrix,
     is_euclidean,
+    num_pairs,
     procrustes_residual,
     read_matrix_csv,
     squared_distances,
     write_matrix_csv,
 )
-from dualmds import cli, fileio
+from dualmds import basis, cli, fileio
 from dualmds.mds import CERTIFIED_MIN_N
 from dualmds.cli import main
 from dualmds.report import CheckResult
@@ -440,13 +441,16 @@ class TestNearness:
         assert main(["nearness", "--n", "2"]) == 2
         capsys.readouterr()
 
-    def test_dense_cap_exit_2_before_any_file(self, tmp_path, capsys):
+    def test_dense_export_refused_before_any_file(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # the dense export has no size rule of its own: the memory estimate
+        # refuses it up front, so no file is opened
+        monkeypatch.setattr(basis, "available_memory", lambda: 1 << 16)
         out = tmp_path / "A.csv"
-        assert main(["nearness", "--n", "62", "--out", str(out)]) == 2
+        assert main(["nearness", "--n", "30", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: dense constraint matrix for n=62 needs "
-                                "113460x1891 entries\n")
+        assert "nearness at n=30 needs" in captured.err
         assert not out.exists()
 
     def test_dense_export_memory_bounded_by_blocks(self, tmp_path, monkeypatch, capsys):
@@ -500,6 +504,27 @@ class TestBasis:
         out = tmp_path / "basis.txt"
         assert main(["basis", "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_estimate_at_the_boundary(self, fmt, tmp_path, monkeypatch, capsys):
+        # refused up front, before basis_gram, one byte below the estimate
+        n = 5
+        need = cli.BASIS_PEAK_ARRAYS[fmt] * num_pairs(n) ** 2 * 8
+        argv = ["basis", "--n", str(n), "--format", fmt, "--out", str(tmp_path / "b")]
+        monkeypatch.setattr(basis, "available_memory", lambda: need)
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def forbidden(*args):
+            raise AssertionError("allocated before the memory estimate")
+        monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
+        monkeypatch.setattr(cli, "basis_gram", forbidden)
+        (tmp_path / "b").unlink()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "basis at n=5 needs" in captured.err
+        assert not (tmp_path / "b").exists()
 
 
 class TestEntryPoints:

@@ -284,7 +284,8 @@ class TestEmbed:
         with pytest.raises(NonEuclideanError):
             embed(SquaredDistanceMatrix(IMPOSSIBLE_D2), r=5)
 
-    @pytest.mark.parametrize("n,r,seed", [(3, 1, 20), (10, 3, 21), (30, 4, 22)])
+    @pytest.mark.parametrize("n,r,seed", [(3, 1, 20), (10, 3, 21), (30, 4, 22),
+                                          (500, 3, 23)])
     def test_lambda_min_is_that_of_is_euclidean(self, n, r, seed):
         D = squared_distances(random_points(n, r, seed))
         assert embed(D).lambda_min == is_euclidean(D)[1]

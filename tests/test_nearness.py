@@ -22,6 +22,7 @@ from dualmds import (
     predicted_singular_values,
     violations,
 )
+from dualmds import basis
 from dualmds.errors import DomainError, ResourceLimitError
 from dualmds.basis import integer_deviation, pair_overlaps
 from dualmds.nearness import _has_triangle_rows, constraint_gram_deviation
@@ -196,15 +197,18 @@ class TestDenseAndSparseAgree:
         with pytest.raises(DomainError):
             constraint_matrix(4).apply(np.ones(5))
 
-    def test_dense_cap(self):
-        with pytest.raises(ResourceLimitError):
-            ConstraintMatrix(100).to_dense()
+    def test_to_dense_refused_by_the_estimate_before_allocating(self, monkeypatch):
+        A = constraint_matrix(5)
+        need = 8 * A.num_rows * A.num_cols
+        monkeypatch.setattr(basis, "available_memory", lambda: need)
+        np.testing.assert_array_equal(A.to_dense(), oracles.constraint_dense(5))
 
-    def test_dense_blocks_refuse_at_the_call(self):
-        # the refusal comes before any block is asked for, so a writer
-        # handed the blocks never opens its file
-        with pytest.raises(ResourceLimitError):
-            ConstraintMatrix(62).dense_blocks(1000)
+        def forbidden(*args):
+            raise AssertionError("allocated before the memory estimate")
+        monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
+        monkeypatch.setattr(ConstraintMatrix, "_dense_rows", forbidden)
+        with pytest.raises(ResourceLimitError, match="dense constraint matrix"):
+            A.to_dense()
 
     @pytest.mark.parametrize("n, entries", [(3, 1), (5, 25), (6, 10**6), (7, 100)])
     def test_dense_blocks_stack_to_dense(self, n, entries):

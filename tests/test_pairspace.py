@@ -51,9 +51,21 @@ class TestLinearIndexing:
         assert (p.i, p.j) == (i, j)
 
     def test_round_trip_everywhere(self):
-        for n in range(2, 31):
-            for k in range(1, num_pairs(n) + 1):
-                assert pair_to_linear(linear_to_pair(k, n)) == k
+        for n in range(2, 70):
+            pairs = [linear_to_pair(k, n) for k in range(1, num_pairs(n) + 1)]
+            assert [(p.i, p.j) for p in pairs] == oracles.lex_pairs(n)
+            assert [pair_to_linear(p) for p in pairs] == list(range(1, num_pairs(n) + 1))
+
+    @pytest.mark.parametrize("n", [10**6, 10**7 + 3])
+    def test_round_trip_at_large_n(self, n):
+        # the closed form is exact integer arithmetic, with no loop over rows
+        L = num_pairs(n)
+        for k, (i, j) in [(1, (1, 2)), (n - 1, (1, n)), (n, (2, 3)),
+                          (L - 2, (n - 2, n - 1)), (L, (n - 1, n))]:
+            p = linear_to_pair(k, n)
+            assert (p.i, p.j) == (i, j)
+        for k in (L // 3, L // 2 + 1, L - 3):
+            assert pair_to_linear(linear_to_pair(k, n)) == k
 
     def test_matches_lexicographic_enumeration(self):
         for n in range(2, 12):

@@ -443,16 +443,16 @@ class TestMemoryRefusal:
         with pytest.raises(ResourceLimitError):
             require_dense_memory(n, VERIFY_PEAK_ARRAYS, "verify")
 
-    def test_n200_is_refused_on_an_8_gb_host(self, monkeypatch):
-        # the dense cap admits n = 200 (19900 pairs); its estimated peak
-        # does not fit in 8.2 GB, which is never allocated here
+    def test_estimate_alone_sizes_verify_on_an_8_gb_host(self, monkeypatch):
+        # n = 201 (20100 pairs, past the former pair cap) fits in 8.2 GB by
+        # the estimate and n = 210 does not; neither is allocated here
         monkeypatch.setattr(basis, "available_memory", lambda: 8_200_000_000)
         with pytest.raises(ResourceLimitError):
-            require_dense_memory(200, VERIFY_PEAK_ARRAYS, "verify")
-        require_dense_memory(120, VERIFY_PEAK_ARRAYS, "verify")
+            require_dense_memory(210, VERIFY_PEAK_ARRAYS, "verify")
+        require_dense_memory(201, VERIFY_PEAK_ARRAYS, "verify")
 
     def test_nearness_is_sized_by_rows(self, monkeypatch):
-        # past the dense pair cap (n = 300, 44850 pairs), nearness fits in
+        # at n = 300 (44850 pairs), nearness fits in
         # 8.2 GB with or without the triplet export; the estimate is linear
         # in the constraint rows, so n = 1200 does not
         monkeypatch.setattr(basis, "available_memory", lambda: 8_200_000_000)
