@@ -66,12 +66,12 @@ class DualAtom:
     """Rank-2 dual atom -1/2 (a b^T + b a^T) stored by its two factors.
 
     The factors a and b are the centering-matrix columns at the pair's
-    two vertices; the dense matrix is materialized on first request and
-    cached.  Rank is exactly 2 for n >= 3 and degenerates to 1 at n = 2,
+    two vertices; :meth:`materialize` builds the dense matrix on each
+    call.  Rank is exactly 2 for n >= 3 and degenerates to 1 at n = 2,
     where the second eigenvalue -1/2 + 1/n vanishes.
     """
 
-    __slots__ = ("alpha", "a", "b", "_matrix")
+    __slots__ = ("alpha", "a", "b")
 
     def __init__(self, alpha: PairIndex, a: np.ndarray, b: np.ndarray):
         self.alpha = alpha
@@ -83,15 +83,12 @@ class DualAtom:
         b.setflags(write=False)
         self.a = a
         self.b = b
-        self._matrix = None
 
     def materialize(self) -> np.ndarray:
-        """Dense n x n form; computed once, then cached read-only."""
-        if self._matrix is None:
-            M = -0.5 * (np.outer(self.a, self.b) + np.outer(self.b, self.a))
-            M.setflags(write=False)
-            self._matrix = M
-        return self._matrix
+        """Dense n x n form, read-only."""
+        M = -0.5 * (np.outer(self.a, self.b) + np.outer(self.b, self.a))
+        M.setflags(write=False)
+        return M
 
 
 @dataclass(frozen=True, eq=False)

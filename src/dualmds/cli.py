@@ -25,12 +25,11 @@ from . import _reference
 from .basis import (basis_atom, basis_gram, dual_atom, dual_gram_matrix,
                     require_dense_memory, require_memory)
 from .errors import DomainError, NonEuclideanError, ParseError, ResourceLimitError
-from .fileio import (CSV_BLOCK_ENTRIES, format_float, read_matrix_csv, write_integer_csv,
-                     write_matrix_csv, write_triplets)
+from .fileio import (CSV_BLOCK_ENTRIES, TRIPLET_BLOCK_LINES, format_float, read_matrix_csv,
+                     write_integer_csv, write_matrix_csv, write_triplets)
 from .mds import CERTIFIED_MIN_N, embed, squared_distances
-from .nearness import (NEARNESS_ROW_BYTES, TRIPLET_EXPORT_ROW_BYTES,
-                       constraint_gram_deviation, constraint_matrix, num_constraints,
-                       singular_value_verdict)
+from .nearness import (NEARNESS_ROW_BYTES, constraint_gram_deviation, constraint_matrix,
+                       num_constraints, singular_value_verdict)
 from .pairspace import PairIndex, PointConfiguration, SquaredDistanceMatrix
 from .report import CheckResult, RunReport
 from .stability import noise_experiment
@@ -155,16 +154,14 @@ def cmd_noise(args) -> int:
 
 def cmd_nearness(args) -> int:
     started = time.perf_counter()
-    triplets = args.out and args.format == "triplets"
-    row_bytes = TRIPLET_EXPORT_ROW_BYTES if triplets else NEARNESS_ROW_BYTES
-    require_memory(args.n, row_bytes * num_constraints(args.n), "nearness")
+    require_memory(args.n, NEARNESS_ROW_BYTES * num_constraints(args.n), "nearness")
     A = constraint_matrix(args.n)
     parameters = {"n": args.n, "format": args.format}
     if args.out:
         if args.format == "dense":
             write_integer_csv(args.out, A.dense_blocks(CSV_BLOCK_ENTRIES))
         else:
-            write_triplets(args.out, A.triplets())
+            write_triplets(args.out, A.triplet_blocks(TRIPLET_BLOCK_LINES))
         parameters["out"] = args.out
     deviation = constraint_gram_deviation(A)
     sv_ok, groups = singular_value_verdict(A, deviation == 0)
@@ -316,9 +313,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NonEuclideanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

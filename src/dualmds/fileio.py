@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 
+# Lines per block of the triplet export.
 TRIPLET_BLOCK_LINES = 8192
 # Entries per block of the CSV writers.
 CSV_BLOCK_ENTRIES = 1 << 16
@@ -236,32 +237,15 @@ def _read_by_lines(path: str | os.PathLike) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def write_triplets(path: str | os.PathLike, triplets) -> None:
-    """Write sparse entries as ``row col sign`` lines, 1-based, sorted.
+def write_triplets(path: str | os.PathLike, blocks: Iterable[np.ndarray]) -> None:
+    """Write blocks of sparse entries as ``row col sign`` lines, in the order given.
 
-    ``triplets`` is an (m, 3) integer array or a list of (row, col, sign)
-    tuples, in any order.  Input already in order, such as
-    :meth:`~dualmds.nearness.ConstraintMatrix.triplets`, is recognised in
-    O(m) and not sorted again.  The lines are formatted by
-    :func:`format_integers` a block of TRIPLET_BLOCK_LINES at a time.
+    Each block is an (m, 3) integer array, or a list of (row, col, sign)
+    tuples; blocks and their rows are written as they come, so sorted
+    input such as :meth:`~dualmds.nearness.ConstraintMatrix.triplet_blocks`
+    gives a sorted file.  Each block is formatted by :func:`format_integers`
+    as it comes, so a generator of blocks is never held whole.
     """
-    T = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    if not _rows_sorted(T):
-        T = T[np.lexsort(T.T[::-1])]
     with open(path, "wb") as fh:
-        for start in range(0, T.shape[0], TRIPLET_BLOCK_LINES):
-            fh.write(format_integers(T[start:start + TRIPLET_BLOCK_LINES]))
-
-
-def _rows_sorted(T: np.ndarray) -> bool:
-    """Whether the rows of ``T`` are in lexicographic order, in O(m).
-
-    Consecutive rows are in order when their first differing column
-    increases, or none differs.  That is folded from the last column
-    back, with comparisons, which cannot overflow as differences can.
-    """
-    later, earlier = T[1:], T[:-1]
-    ordered = np.ones(later.shape[0], dtype=bool)
-    for c in range(T.shape[1] - 1, -1, -1):
-        ordered = (later[:, c] > earlier[:, c]) | ((later[:, c] == earlier[:, c]) & ordered)
-    return bool(ordered.all())
+        for block in blocks:
+            fh.write(format_integers(np.asarray(block, dtype=np.int64).reshape(-1, 3)))

@@ -40,13 +40,10 @@ from .spectral import spectrum_verdict, sym_eigvals
 # Peak memory of a passing `dualmds nearness` in bytes per constraint row,
 # for the up-front refusal.  Building ``edges`` (8 bytes per row) is the
 # peak: measured peak RSS 81 MB at n = 200 and 201 MB at n = 300, a slope
-# of 13.4 bytes per row; rounded up.  The triplet export fills one array
-# of all 3 * rows entries: 104 MB at n = 120 and 374 MB at n = 200 with
-# `--format triplets --out`, a slope of 91.4 bytes per row; rounded up.
-# The dense CSV is written a block of rows at a time, so it adds no term;
-# a disk that fills during the write ends the run with exit code 3.
+# of 13.4 bytes per row; rounded up.  Both exports are written a block of
+# rows at a time, so neither adds a term; a disk that fills during the
+# write ends the run with exit code 3.
 NEARNESS_ROW_BYTES = 16
-TRIPLET_EXPORT_ROW_BYTES = 96
 # Peak of the dense route, taken only by an A that fails the structure
 # test, in L x L float64 arrays (8 L^2 bytes each): measured 213 MB at
 # n = 80 and 462 MB at n = 100, a slope of 2.24 arrays; rounded up.
@@ -198,22 +195,33 @@ class ConstraintMatrix:
         A[np.arange(r.size)[:, None], self.edges[r // 3]] = SIGNS[r % 3]
         return A
 
-    def triplets(self) -> np.ndarray:
-        """All signed entries as rows (row, column, sign), 1-based, sorted.
+    def triplets(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Signed entries of triples [start, stop) as rows (row, column, sign).
 
-        An int64 array of shape (3 * num_rows, 3), ordered by row, then
-        column.  A triple's columns (ij, ik, jk) are ascending and shared
-        by its three rows, and row s of the block has its +1 in slot s,
-        so the entries are written in order into one preallocated array,
-        through its (triple, row in block, slot, field) view.
+        An int64 array of shape (9 * triples, 3), 1-based, ordered by
+        row, then column; the default range is all of A.  A triple's
+        columns (ij, ik, jk) are ascending and shared by its three rows,
+        and row s of the block has its +1 in slot s, so the entries are
+        written in order into one preallocated array, through its
+        (triple, row in block, slot, field) view.
         """
-        out = np.empty((self.edges.shape[0], 3, 3, 3), dtype=np.int64)
-        out[..., 0] = np.arange(1, self.num_rows, 3)[:, None, None]
+        edges = self.edges[start:stop]
+        out = np.empty((edges.shape[0], 3, 3, 3), dtype=np.int64)
+        out[..., 0] = np.arange(3 * start + 1, 3 * (start + edges.shape[0]), 3)[:, None, None]
         out[..., 0] += np.arange(3)[:, None]
-        out[..., 1] = self.edges[:, None, :]
+        out[..., 1] = edges[:, None, :]
         out[..., 1] += 1
         out[..., 2] = SIGNS
         return out.reshape(-1, 3)
+
+    def triplet_blocks(self, lines: int):
+        """:meth:`triplets` as consecutive blocks of whole triples, in order.
+
+        Each block holds about ``lines`` entries (at least one triple's nine).
+        """
+        triples = max(1, lines // 9)
+        return (self.triplets(start, start + triples)
+                for start in range(0, self.edges.shape[0], triples))
 
     def gram(self) -> np.ndarray:
         """A^T A, exact in int64, held in one L x L array.

@@ -43,13 +43,6 @@ class SpectrumReport:
             raise DomainError("group representatives must be strictly decreasing")
         self.raw.setflags(write=False)
 
-    def multiplicity_of(self, value: float, tol: float = 1e-6) -> int:
-        """Multiplicity of the group whose representative is nearest ``value``."""
-        for rep, mult in self.groups:
-            if abs(rep - value) <= tol * max(1.0, abs(value)):
-                return mult
-        return 0
-
 
 def sym_eig(M: np.ndarray, *, trusted: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.

@@ -127,16 +127,6 @@ def worst_case_noise(n: int) -> NoiseMatrix:
     return NoiseMatrix(E)
 
 
-def gram_perturbation(noise: NoiseMatrix) -> np.ndarray:
-    """The Gram perturbation -1/2 J E J, by row means and the grand mean.
-
-    Computed by :func:`~dualmds.mds.center_by_means` in O(n^2), against
-    O(n^4) for the atom sum of :func:`perturbed_gram` minus the clean
-    expansion, which gives the same matrix up to roundoff.
-    """
-    return center_by_means(noise.entries)
-
-
 def perturbed_gram(D: SquaredDistanceMatrix, noise: NoiseMatrix) -> GramMatrix:
     """Gram matrix of the noisy distances D + noise, via the atom expansion.
 

@@ -129,7 +129,7 @@ def attained_amplification_exact(n: int) -> Fraction:
     return best
 
 
-def gram_perturbation_exact(E: list[list[Fraction]]) -> list[list[Fraction]]:
+def double_centered_exact(E: list[list[Fraction]]) -> list[list[Fraction]]:
     """-1/2 J E J by two exact-rational matrix products."""
     n = len(E)
     J = centering_exact(n)

@@ -111,10 +111,11 @@ class TestDualAtom:
         np.testing.assert_allclose(v.a, J[:, 1], atol=1e-15)
         np.testing.assert_allclose(v.b, J[:, 3], atol=1e-15)
 
-    def test_materialize_is_cached_and_frozen(self):
+    def test_materialize_builds_a_frozen_array_each_call(self):
         v = dual_atom(PairIndex(1, 3, 4))
         M1 = v.materialize()
-        assert v.materialize() is M1
+        M2 = v.materialize()
+        assert M2 is not M1 and M2.tobytes() == M1.tobytes()
         with pytest.raises(ValueError):
             M1[0, 0] = 1.0
 

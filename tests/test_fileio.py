@@ -426,79 +426,46 @@ class TestChunkedReader:
         assert fallbacks == [path]
 
 
-@pytest.fixture
-def lexsorts(monkeypatch):
-    """A list that gains one entry per np.lexsort call."""
-    calls = []
-    real = np.lexsort
-
-    def lexsort(keys, *args, **kwargs):
-        calls.append(1)
-        return real(keys, *args, **kwargs)
-
-    monkeypatch.setattr(np, "lexsort", lexsort)
-    return calls
-
-
 class TestTriplets:
-    """Any order in, sorted lines out; sorted input is not sorted again."""
+    """Blocks in, ``%d`` lines out, in the order the blocks and rows come."""
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_constraint_triplets_not_sorted_again(self, n, tmp_path, lexsorts):
-        T = constraint_matrix(n).triplets()
+    def test_constraint_blocks_give_the_sorted_file(self, n, tmp_path):
+        A = constraint_matrix(n)
         path = tmp_path / "t.txt"
-        write_triplets(path, T)
-        assert lexsorts == []
-        assert path.read_bytes() == percent_d(T)
+        write_triplets(path, A.triplet_blocks(20))
+        assert path.read_bytes() == percent_d(A.triplets())
 
-    def test_lines_sorted_and_formatted(self, tmp_path, lexsorts):
+    def test_lines_kept_in_block_order(self, tmp_path):
         path = tmp_path / "t.txt"
-        write_triplets(path, [(2, 1, -1), (1, 3, -1), (1, 1, 1)])
-        assert path.read_text() == "1 1 1\n1 3 -1\n2 1 -1\n"
-        assert lexsorts == [1]
+        write_triplets(path, [[(2, 1, -1), (1, 3, -1)], np.array([[1, 1, 1]])])
+        assert path.read_text() == "2 1 -1\n1 3 -1\n1 1 1\n"
 
-    def test_unsorted_array(self, tmp_path, lexsorts):
+    def test_uneven_and_empty_blocks(self, tmp_path):
+        blocks = [np.array([[12, 3, 1]]), np.empty((0, 3), dtype=np.int64), [],
+                  np.array([[2, 10, -1], [2, 9, -1]])]
         path = tmp_path / "t.txt"
-        write_triplets(path, np.array([[12, 3, 1], [2, 10, -1], [2, 9, -1]]))
-        assert path.read_text() == "2 9 -1\n2 10 -1\n12 3 1\n"
-        assert lexsorts == [1]
+        write_triplets(path, blocks)
+        assert path.read_text() == "12 3 1\n2 10 -1\n2 9 -1\n"
 
-    def test_lines_past_one_block(self, tmp_path, monkeypatch, lexsorts):
-        monkeypatch.setattr(fileio, "TRIPLET_BLOCK_LINES", 4)
-        entries = [(r, c, 1 - 2 * (c % 2)) for r in range(3, 0, -1) for c in (3, 1, 2)]
-        path = tmp_path / "t.txt"
-        write_triplets(path, entries)
-        assert path.read_text() == "".join(f"{r} {c} {s}\n" for r, c, s in sorted(entries))
-        assert lexsorts == [1]
-
-    def test_empty_list(self, tmp_path):
+    def test_no_blocks(self, tmp_path):
         path = tmp_path / "t.txt"
         write_triplets(path, [])
         assert path.read_text() == ""
 
-    def test_ties_and_duplicates_in_sorted_order(self, tmp_path, lexsorts):
+    def test_ties_and_duplicates_kept(self, tmp_path):
         entries = [(2, 5, 1), (1, 9, -1), (2, 3, -1), (1, 9, -1), (2, 3, -1),
                    (1, 2, 1), (2, 5, -1)]
         path = tmp_path / "t.txt"
-        write_triplets(path, entries)
-        assert path.read_bytes() == percent_d(sorted(entries))
-        assert lexsorts == [1]
-
-    def test_sorted_ties_and_duplicates_kept(self, tmp_path, lexsorts):
-        entries = sorted([(1, 2, 1), (1, 2, 1), (1, 3, -1), (2, 1, -1), (2, 1, 1)])
-        path = tmp_path / "t.txt"
-        write_triplets(path, entries)
+        write_triplets(path, [entries[:3], entries[3:]])
         assert path.read_bytes() == percent_d(entries)
-        assert lexsorts == []
 
-    def test_order_decided_without_overflow(self, tmp_path):
-        # INT64.min - INT64.max overflows to +1: a difference would call
-        # this pair sorted
+    def test_int64_extremes(self, tmp_path):
         entries = [(INT64.max, 1, 1), (INT64.min, 1, 1), (0, INT64.max, -1),
                    (0, INT64.min, -1)]
         path = tmp_path / "t.txt"
-        write_triplets(path, entries)
-        assert path.read_bytes() == percent_d(sorted(entries))
+        write_triplets(path, [entries])
+        assert path.read_bytes() == percent_d(entries)
 
 
 class TestIntegerCsv:

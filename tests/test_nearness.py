@@ -153,6 +153,27 @@ class TestDenseAndSparseAgree:
         assert trips.dtype == np.int64
         np.testing.assert_array_equal(trips, oracles.constraint_triplets_by_rows(n))
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("lines", [1, 9, 20, 63])
+    def test_triplet_blocks_concatenate_to_triplets(self, n, lines):
+        # 1 and 9 lines give one triple per block; 20 lines give two and
+        # 63 give seven, which divide C(n, 3) only at some n
+        A = constraint_matrix(n)
+        blocks = list(A.triplet_blocks(lines))
+        per_block = max(1, lines // 9)
+        assert [len(b) for b in blocks[:-1]] == [9 * per_block] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= 9 * per_block
+        np.testing.assert_array_equal(np.concatenate(blocks), A.triplets())
+
+    @pytest.mark.parametrize("start, stop", [(0, 1), (3, 7), (19, None), (0, 20), (5, 5)])
+    def test_triplets_of_a_range(self, start, stop):
+        # n = 6 has 20 triples; rows 3t+1 ... 3t+3 belong to triple t
+        trips = constraint_matrix(6).triplets(start, stop)
+        full = np.array(oracles.constraint_triplets_by_rows(6), dtype=np.int64).reshape(-1, 3)
+        rows = full[:, 0]
+        stop = 20 if stop is None else stop
+        np.testing.assert_array_equal(trips, full[(rows > 3 * start) & (rows <= 3 * stop)])
+
     @pytest.mark.parametrize("n", range(3, 31))
     def test_triples_are_lexicographic_combinations(self, n):
         edges = constraint_matrix(n).edges

@@ -162,11 +162,6 @@ class TestGroupSpectrum:
     def test_empty_input(self):
         assert group_spectrum([]).groups == ()
 
-    def test_multiplicity_lookup(self):
-        report = group_spectrum([8.0, 4.0, 4.0, 2.0])
-        assert report.multiplicity_of(4.0) == 2
-        assert report.multiplicity_of(7.0) == 0
-
 
 class TestSpectrumVerdict:
     def test_matching_groups_pass_and_print_rounded(self):

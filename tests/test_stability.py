@@ -20,7 +20,7 @@ from dualmds import (
     worst_case_noise,
 )
 from dualmds import mds, pairspace, stability
-from dualmds.stability import gram_perturbation
+from dualmds.mds import center_by_means
 from dualmds.errors import DomainError
 
 import oracles
@@ -140,7 +140,7 @@ class TestWorstCaseNoise:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_attains_worst_case_exactly(self, n):
         E = worst_case_noise(n).entries
-        X = oracles.gram_perturbation_exact(
+        X = oracles.double_centered_exact(
             [[Fraction(int(v)) for v in row] for row in E]
         )
         peak = max(abs(v) for row in X for v in row)
@@ -149,7 +149,7 @@ class TestWorstCaseNoise:
     def test_attains_closed_form_to_roundoff(self):
         for n in range(2, 70):
             noise = worst_case_noise(n)
-            ratio = np.max(np.abs(gram_perturbation(noise))) / noise.sup_norm()
+            ratio = np.max(np.abs(center_by_means(noise.entries))) / noise.sup_norm()
             assert ratio == pytest.approx(attained_amplification(n), rel=1e-14)
 
     def test_rejects_tiny_n(self):
@@ -168,11 +168,11 @@ class TestGramPerturbation:
                                  int(rng.integers(1, 1000)))
                 exact[i][j] = exact[j][i] = value
         noise = NoiseMatrix([[float(v) for v in row] for row in exact])
-        X = oracles.gram_perturbation_exact(
+        X = oracles.double_centered_exact(
             [[Fraction(v) for v in row] for row in noise.entries.tolist()]
         )
         expected = np.array([[float(v) for v in row] for row in X])
-        np.testing.assert_allclose(gram_perturbation(noise), expected,
+        np.testing.assert_allclose(center_by_means(noise.entries), expected,
                                    rtol=0, atol=1e-14 * noise.sup_norm())
 
     @pytest.mark.parametrize("n", [3, 5, 8, 16])
@@ -184,7 +184,7 @@ class TestGramPerturbation:
             D = squared_distances(PointConfiguration(rng.standard_normal((n, 2))))
             upper = np.triu(rng.uniform(-0.5, 0.5, size=(n, n)), 1)
             noise = NoiseMatrix(upper + upper.T)
-            fast = gram_perturbation(noise)
+            fast = center_by_means(noise.entries)
             witness = perturbed_gram(D, noise).entries - dual_expansion(D).entries
             assert np.max(np.abs(fast - witness)) <= 1e-12 * np.max(np.abs(fast))
 

@@ -19,7 +19,6 @@ from dualmds.basis import (
 from dualmds.cli import main
 from dualmds.nearness import (
     NEARNESS_ROW_BYTES,
-    TRIPLET_EXPORT_ROW_BYTES,
     ConstraintMatrix,
     constraint_gram_deviation,
     constraint_matrix,
@@ -452,23 +451,23 @@ class TestMemoryRefusal:
         require_dense_memory(201, VERIFY_PEAK_ARRAYS, "verify")
 
     def test_nearness_is_sized_by_rows(self, monkeypatch):
-        # at n = 300 (44850 pairs), nearness fits in
-        # 8.2 GB with or without the triplet export; the estimate is linear
-        # in the constraint rows, so n = 1200 does not
+        # at n = 300 (44850 pairs), nearness fits in 8.2 GB, with either
+        # export; the estimate is linear in the constraint rows, so n = 1200
+        # does not
         monkeypatch.setattr(basis, "available_memory", lambda: 8_200_000_000)
-        for row_bytes in (NEARNESS_ROW_BYTES, TRIPLET_EXPORT_ROW_BYTES):
-            require_memory(300, row_bytes * num_constraints(300), "nearness")
-            with pytest.raises(ResourceLimitError):
-                require_memory(1200, row_bytes * num_constraints(1200), "nearness")
+        require_memory(300, NEARNESS_ROW_BYTES * num_constraints(300), "nearness")
+        with pytest.raises(ResourceLimitError):
+            require_memory(1200, NEARNESS_ROW_BYTES * num_constraints(1200), "nearness")
 
-    @pytest.mark.parametrize("argv, row_bytes", [
-        ([], NEARNESS_ROW_BYTES),
-        (["--format", "triplets", "--out", "t.txt"], TRIPLET_EXPORT_ROW_BYTES),
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--out", "a.csv"],
+        ["--format", "triplets", "--out", "t.txt"],
     ])
-    def test_nearness_estimate_at_the_boundary(self, monkeypatch, tmp_path, capsys,
-                                               argv, row_bytes):
+    def test_nearness_estimate_at_the_boundary(self, monkeypatch, tmp_path, capsys, argv):
+        # one rule sizes both exports: each is written a block at a time
         monkeypatch.chdir(tmp_path)
-        need = row_bytes * num_constraints(12)
+        need = NEARNESS_ROW_BYTES * num_constraints(12)
         monkeypatch.setattr(basis, "available_memory", lambda: need)
         assert main(["nearness", "--n", "12", *argv]) == 0
         monkeypatch.setattr(basis, "available_memory", lambda: need - 1)
